@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from .derivations import CheckConfig, to_json_dict
 from .elaborate import elaborate_all
@@ -29,6 +30,19 @@ from .syntax import Context, format_term
 from .typecheck import TypeCheckError, UnresolvedPresupposition, check_context, check_signature, infer_all
 
 
+_TOO_DEEP = "error: input nested too deeply (Python recursion limit reached)"
+
+
+def _at_least(minimum: int):
+    def bound(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return bound
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="presup",
@@ -41,9 +55,13 @@ def _build_parser() -> argparse.ArgumentParser:
         if context:
             p.add_argument("--context", metavar="FILE", help="load local hypotheses from FILE")
         p.add_argument("--json", action="store_true", help="structured output")
-        p.add_argument("--depth", type=int, default=None, help="witness search depth")
-        p.add_argument("--max-solutions", type=int, default=None, help="witnesses per presupposition")
-        p.add_argument("--step-budget", type=int, default=None, help="reduction step budget")
+        p.add_argument("--depth", type=_at_least(0), default=None, help="witness search depth")
+        p.add_argument(
+            "--max-solutions", type=_at_least(1), default=None, help="witnesses per presupposition"
+        )
+        p.add_argument(
+            "--step-budget", type=_at_least(0), default=None, help="reduction step budget"
+        )
 
     check = sub.add_parser("check", help="type-check a term, printing each derived type")
     common(check)
@@ -52,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
     elab = sub.add_parser("elaborate", help="replace presuppositions by their witnesses")
     common(elab)
     elab.add_argument("--discourse", action="store_true", help="treat the input as controlled English")
-    elab.add_argument("--max", type=int, default=None, help="print at most N results")
+    elab.add_argument("--max", type=_at_least(0), default=None, help="print at most N results")
     elab.add_argument("input", metavar="INPUT", help="a term or discourse, or @FILE")
 
     solve_cmd = sub.add_parser("solve", help="list witnesses for a goal type")
@@ -65,24 +83,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config(args) -> CheckConfig:
-    cfg = CheckConfig()
-    updates = {}
-    if args.depth is not None:
-        updates["solver_depth"] = args.depth
-    if args.max_solutions is not None:
-        updates["max_solutions_per_require"] = args.max_solutions
-    if args.step_budget is not None:
-        updates["step_budget"] = args.step_budget
-    if updates:
-        cfg = CheckConfig(
-            solver_depth=updates.get("solver_depth", cfg.solver_depth),
-            max_solutions_per_require=updates.get(
-                "max_solutions_per_require", cfg.max_solutions_per_require
-            ),
-            max_total_derivations=cfg.max_total_derivations,
-            step_budget=updates.get("step_budget", cfg.step_budget),
-        )
-    return cfg
+    bounds = {
+        "solver_depth": args.depth,
+        "max_solutions_per_require": args.max_solutions,
+        "step_budget": args.step_budget,
+    }
+    return replace(CheckConfig(), **{k: v for k, v in bounds.items() if v is not None})
 
 
 def _load_environment(args, cfg: CheckConfig):
@@ -227,6 +233,8 @@ def cmd_repl(args, out, err, instream) -> int:
             ctx = _repl_dispatch(line, sig, ctx, cfg, out)
         except (ParseError, UnknownWord, TypeCheckError, EvalError) as error:
             _report_semantic_error(error, out)
+        except RecursionError:
+            out.write(f"{_TOO_DEEP}\n")
         except OSError as error:
             out.write(f"error: {error}\n")
 
@@ -303,6 +311,9 @@ def main(argv=None, out=None, err=None, instream=None) -> int:
         return _report_semantic_error(error, err)
     except OSError as error:
         err.write(f"error: {error}\n")
+        return 1
+    except RecursionError:
+        err.write(f"{_TOO_DEEP}\n")
         return 1
 
 

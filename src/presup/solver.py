@@ -5,11 +5,21 @@ under a chain of fst/snd, descending only while the type at hand is a pair
 type.  This is the finite, deterministic stand-in for "any witness
 experienced so far": everything the discourse context makes available by
 projection, most recent hypothesis first.
+
+A head's spines depend only on the head and its declared type, so each head
+gets one table per top-level call: its spines in breadth-first order with
+their normalized types, indexed by the alpha key of that type.  A goal is
+normalized and keyed once; its witnesses are the index hits, and derivation
+trees are built only for them.  The tables live in a context variable that
+the outermost call of `solve`, `enumerate_spines` or a typechecker entry
+point sets and clears, so nothing outlives that call.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import deque
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 from .derivations import (
@@ -22,7 +32,7 @@ from .derivations import (
     Derivation,
     Judgment,
 )
-from .evaluator import convertible, normalize
+from .evaluator import normalize
 from .syntax import (
     Const,
     Context,
@@ -32,12 +42,14 @@ from .syntax import (
     Snd,
     Term,
     Var,
-    alpha_eq,
     alpha_key,
     substitute,
 )
 
 DEFAULT_CONFIG = CheckConfig()
+
+# Spine tables of the current top-level call, or None outside one.
+_TABLES: ContextVar = ContextVar("spine_tables", default=None)
 
 
 @dataclass(frozen=True)
@@ -48,6 +60,88 @@ class Solution:
     derivation: Derivation
 
 
+def with_spine_tables(fn):
+    """Give fn's call its own spine tables, unless an enclosing call has
+    some already; they are dropped when the outermost such call returns."""
+
+    @functools.wraps(fn)
+    def scoped(*args, **kwargs):
+        if _TABLES.get() is not None:
+            return fn(*args, **kwargs)
+        token = _TABLES.set({})
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            _TABLES.reset(token)
+
+    return scoped
+
+
+class _Table:
+    """The spines of one head, breadth-first, to a fixed depth.
+
+    Spine i is (term, normal type, classifier before normalization, whether
+    the two differ, parent index or -1, rule); `index` maps the alpha key of
+    a normal type to the indices of the spines that have it, in order.
+    """
+
+    __slots__ = ("spines", "index")
+
+    def __init__(self, head: Term, declared: Term, rule: str, depth: int, step_budget: int):
+        self.spines = []
+        self.index = {}
+        queue = deque([(head, declared, -1, rule, 0)])
+        while queue:
+            term, raw, parent, rule, length = queue.popleft()
+            key = alpha_key(raw)
+            spine_type, normal_key = raw, key
+            if rule != SIG_E1:
+                spine_type = normalize(raw, step_budget)
+                normal_key = alpha_key(spine_type)
+            position = len(self.spines)
+            self.spines.append((term, spine_type, raw, key != normal_key, parent, rule))
+            self.index.setdefault(normal_key, []).append(position)
+            if length >= depth or not isinstance(spine_type, Sigma):
+                continue
+            first = Fst(term)
+            queue.append((first, spine_type.domain, position, SIG_E1, length + 1))
+            second_type = substitute(spine_type.codomain, spine_type.binder, first)
+            queue.append((Snd(term), second_type, position, SIG_E2, length + 1))
+
+    def derivation(self, position: int, sig: Signature, ctx: Context, built: dict) -> Derivation:
+        """The derivation of spine `position` in sig; ctx, sharing the nodes
+        of its ancestors through `built`."""
+        if position in built:
+            return built[position]
+        term, spine_type, raw, converted, parent, rule = self.spines[position]
+        premises = () if parent < 0 else (self.derivation(parent, sig, ctx, built),)
+        node = Derivation(rule, Judgment(sig, ctx, term, raw), premises)
+        if converted:
+            node = Derivation(CONV, Judgment(sig, ctx, term, spine_type), (node,))
+        built[position] = node
+        return node
+
+
+def _tables(sig: Signature, ctx: Context, depth: int, step_budget: int) -> list:
+    """One table per head: the context newest-first, then the signature
+    oldest-first.  Tables are reused within the current top-level call."""
+    cache = _TABLES.get()
+    heads = [(Var, HYP, entry) for entry in reversed(ctx.entries)]
+    heads += [(Const, CONST, entry) for entry in sig.entries]
+    out = []
+    for make, rule, entry in heads:
+        # Entry tuples are shared between a context and its extensions; the
+        # cached value holds the entry, so its id is not reused meanwhile.
+        key = (id(entry), rule, depth, step_budget)
+        cached = cache.get(key)
+        if cached is None:
+            name, declared = entry
+            cached = cache[key] = (entry, _Table(make(name), declared, rule, depth, step_budget))
+        out.append(cached[1])
+    return out
+
+
+@with_spine_tables
 def enumerate_spines(sig: Signature, ctx: Context, depth: int) -> list:
     """All projection spines with their normalized types.
 
@@ -57,68 +151,49 @@ def enumerate_spines(sig: Signature, ctx: Context, depth: int) -> list:
     """
     return [
         (term, spine_type)
-        for term, spine_type, _ in _spines(sig, ctx, depth, DEFAULT_CONFIG.step_budget)
+        for table in _tables(sig, ctx, depth, DEFAULT_CONFIG.step_budget)
+        for term, spine_type, *_ in table.spines
     ]
 
 
-def _spines(sig: Signature, ctx: Context, depth: int, step_budget: int):
-    heads = [(Var(name), entry_type, HYP) for name, entry_type in reversed(ctx.entries)]
-    heads += [(Const(name), entry_type, CONST) for name, entry_type in sig.entries]
-    out = []
-    for head, declared, rule in heads:
-        conclusion = Judgment(sig, ctx, head, declared)
-        derivation = Derivation(rule, conclusion)
-        normal = normalize(declared, step_budget)
-        if not alpha_eq(normal, declared):
-            derivation = Derivation(CONV, Judgment(sig, ctx, head, normal), (derivation,))
-        queue = deque([(head, normal, derivation, 0)])
-        while queue:
-            term, spine_type, term_derivation, length = queue.popleft()
-            out.append((term, spine_type, term_derivation))
-            if length >= depth or not isinstance(spine_type, Sigma):
-                continue
-            first = Fst(term)
-            first_derivation = Derivation(
-                SIG_E1, Judgment(sig, ctx, first, spine_type.domain), (term_derivation,)
-            )
-            queue.append((first, spine_type.domain, first_derivation, length + 1))
-            second = Snd(term)
-            second_type = substitute(spine_type.codomain, spine_type.binder, first)
-            second_derivation = Derivation(
-                SIG_E2, Judgment(sig, ctx, second, second_type), (term_derivation,)
-            )
-            second_normal = normalize(second_type, step_budget)
-            if not alpha_eq(second_normal, second_type):
-                second_derivation = Derivation(
-                    CONV, Judgment(sig, ctx, second, second_normal), (second_derivation,)
-                )
-            queue.append((second, second_normal, second_derivation, length + 1))
-    return out
-
-
-def solve(sig: Signature, ctx: Context, goal: Term, cfg: CheckConfig | None = None) -> list:
+@with_spine_tables
+def solve(
+    sig: Signature,
+    ctx: Context,
+    goal: Term,
+    cfg: CheckConfig | None = None,
+    *,
+    capped: bool = True,
+) -> list:
     """All spine witnesses whose type is convertible with the goal.
 
-    Order is inherited from the enumeration, duplicates (up to alpha on the
-    normalized witness) are dropped, and the list is truncated at the
-    configured bound.  An empty list means the presupposition is unresolved
-    in this context; that is the caller's error to report.
+    Order is that of `enumerate_spines`, duplicates (up to alpha on the
+    witness) are dropped, and the list holds at most the configured number
+    of witnesses unless `capped` is false.  An empty list means the
+    presupposition is unresolved in this context; that is the caller's
+    error to report.
     """
     cfg = cfg or DEFAULT_CONFIG
+    limit = cfg.max_solutions_per_require if capped else None
+    tables = _tables(sig, ctx, cfg.solver_depth, cfg.step_budget)
+    # Spine types are normal, so convertibility with the goal is equality
+    # of alpha keys with the goal's normal form.
+    goal_key = alpha_key(goal)
+    normal_key = alpha_key(normalize(goal, cfg.step_budget))
     solutions = []
     seen = set()
-    for term, spine_type, derivation in _spines(sig, ctx, cfg.solver_depth, cfg.step_budget):
-        if not convertible(spine_type, goal, cfg.step_budget):
-            continue
-        key = alpha_key(normalize(term, cfg.step_budget))
-        if key in seen:
-            continue
-        seen.add(key)
-        if not alpha_eq(spine_type, goal):
-            derivation = Derivation(
-                CONV, Judgment(sig, ctx, term, goal), (derivation,)
-            )
-        solutions.append(Solution(term, derivation))
-        if len(solutions) >= cfg.max_solutions_per_require:
-            break
+    for table in tables:
+        built = {}
+        for position in table.index.get(normal_key, ()):
+            if limit is not None and len(solutions) >= limit:
+                return solutions
+            term = table.spines[position][0]
+            key = alpha_key(term)
+            if key in seen:
+                continue
+            seen.add(key)
+            derivation = table.derivation(position, sig, ctx, built)
+            if normal_key != goal_key:
+                derivation = Derivation(CONV, Judgment(sig, ctx, term, goal), (derivation,))
+            solutions.append(Solution(term, derivation))
     return solutions

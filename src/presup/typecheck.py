@@ -29,7 +29,7 @@ from .derivations import (
 )
 from .evaluator import convertible as _convertible
 from .evaluator import normalize
-from .solver import solve
+from .solver import solve, with_spine_tables
 from .syntax import (
     App,
     Const,
@@ -143,6 +143,7 @@ class BinderEscape(TypeCheckError):
         self.classifier = classifier
 
 
+@with_spine_tables
 def check_signature(sig: Signature, cfg: CheckConfig | None = None) -> None:
     """Each entry's type must inhabit some universe in the empty context under
     the preceding prefix; names must be fresh.  Raises on failure."""
@@ -158,6 +159,7 @@ def check_signature(sig: Signature, cfg: CheckConfig | None = None) -> None:
         prefix = prefix.extend(name, entry_type)
 
 
+@with_spine_tables
 def check_context(sig: Signature, ctx: Context, cfg: CheckConfig | None = None) -> None:
     """Each hypothesis type must inhabit some universe under the signature and
     the preceding prefix; names fresh with respect to both telescopes."""
@@ -181,6 +183,7 @@ def convertible(a: Term, b: Term, step_budget: int | None = None) -> bool:
     return _convertible(a, b, step_budget)
 
 
+@with_spine_tables
 def infer_all(sig: Signature, ctx: Context, term: Term, cfg: CheckConfig | None = None) -> list:
     """Every derivation of `term : A` for some A, one per distinct choice of
     presupposition witnesses within the configured bounds.
@@ -192,6 +195,7 @@ def infer_all(sig: Signature, ctx: Context, term: Term, cfg: CheckConfig | None 
     return _dedup(_infer(sig, ctx, term, cfg), cfg)
 
 
+@with_spine_tables
 def check_all(
     sig: Signature, ctx: Context, term: Term, expected: Term, cfg: CheckConfig | None = None
 ) -> list:
@@ -296,7 +300,7 @@ def _infer(sig: Signature, ctx: Context, term: Term, cfg: CheckConfig) -> list:
         case Fst() | Snd():
             return _infer_projection(sig, ctx, term, cfg)
         case Require():
-            return _infer_require(sig, ctx, term, cfg)
+            return _require(sig, ctx, term, cfg)
         case Let():
             return _infer_let(sig, ctx, term, cfg)
         case Lam():
@@ -313,9 +317,9 @@ def _infer_formation(sig: Signature, ctx: Context, term: Term, cfg: CheckConfig)
     shape = type(term)
     rule = PI_F if shape is Pi else SIG_F
     binder, codomain = _open_binder(sig, ctx, term.binder, term.codomain)
+    inner = ctx.extend(binder, term.domain)
     results = []
     for dom_derivation, dom_level in _type_derivations(sig, ctx, term.domain, cfg):
-        inner = ctx.extend(binder, term.domain)
         for cod_derivation, cod_level in _type_derivations(sig, inner, codomain, cfg):
             subject = shape(binder, term.domain, codomain)
             classifier = Universe(max(dom_level, cod_level))
@@ -380,29 +384,48 @@ def _infer_projection(sig: Signature, ctx: Context, term: Term, cfg: CheckConfig
     return results
 
 
-def _infer_require(sig: Signature, ctx: Context, term: Require, cfg: CheckConfig) -> list:
+def _require(
+    sig: Signature, ctx: Context, term: Require, cfg: CheckConfig, expected: Term | None = None
+) -> list:
     #  ctx |- M : A    ctx |- [M/x]N : B    x not free in B
     #  ----------------------------------------------------
     #          ctx |- require x : A in N : B
-    # One derivation per witness M the solver can produce for A.
+    # One derivation per witness M for A, in the solver's order, up to the
+    # configured number of witnesses whose body goes through.  The body is
+    # inferred, or checked against `expected` when that is given (and then B
+    # is `expected`).
     _type_derivations(sig, ctx, term.goal_type, cfg)
-    solutions = solve(sig, ctx, term.goal_type, cfg)
+    solutions = solve(sig, ctx, term.goal_type, cfg, capped=False)
     if not solutions:
         raise UnresolvedPresupposition(term.goal_type, ctx)
-    binder, body = _open_binder(sig, ctx, term.binder, term.body)
+    avoid = frozenset() if expected is None else free_vars(expected)
+    binder, body = _open_binder(sig, ctx, term.binder, term.body, avoid)
     subject = Require(binder, term.goal_type, body)
     results = []
     pending = None
+    accepted = 0
     for solution in solutions:
+        if accepted >= cfg.max_solutions_per_require:
+            break
         substituted = substitute(body, binder, solution.witness)
         try:
-            body_derivations = _infer(sig, ctx, substituted, cfg)
+            if expected is None:
+                body_derivations = _infer(sig, ctx, substituted, cfg)
+            else:
+                body_derivations = _check(sig, ctx, substituted, expected, cfg)
         except TypeCheckError as error:
             pending = pending or error
             continue
+        before = len(results)
         for body_derivation in body_derivations:
-            classifier = body_derivation.conclusion.classifier
-            assert binder not in free_vars(classifier)
+            if expected is None:
+                classifier = body_derivation.conclusion.classifier
+                if binder in free_vars(classifier):
+                    pending = pending or BinderEscape(binder, classifier)
+                    continue
+            else:
+                # The binder was renamed away from the free names of expected.
+                classifier = expected
             results.append(
                 Derivation(
                     REQUIRE,
@@ -412,6 +435,8 @@ def _infer_require(sig: Signature, ctx: Context, term: Require, cfg: CheckConfig
                 )
             )
             _guard(results, cfg)
+        if len(results) > before:
+            accepted += 1
     if not results:
         raise pending
     return results
@@ -489,35 +514,8 @@ def _check(sig: Signature, ctx: Context, term: Term, expected: Term, cfg: CheckC
                     results.append(_conv(node, expected) if needs_conv else node)
                     _guard(results, cfg)
             return results
-        case Require(binder, goal_type, body):
-            _type_derivations(sig, ctx, goal_type, cfg)
-            solutions = solve(sig, ctx, goal_type, cfg)
-            if not solutions:
-                raise UnresolvedPresupposition(goal_type, ctx)
-            binder, body = _open_binder(sig, ctx, binder, body, avoid=free_vars(expected))
-            subject = Require(binder, goal_type, body)
-            results = []
-            pending = None
-            for solution in solutions:
-                substituted = substitute(body, binder, solution.witness)
-                try:
-                    body_derivations = _check(sig, ctx, substituted, expected, cfg)
-                except TypeCheckError as error:
-                    pending = pending or error
-                    continue
-                for body_derivation in body_derivations:
-                    results.append(
-                        Derivation(
-                            REQUIRE,
-                            Judgment(sig, ctx, subject, expected),
-                            (solution.derivation, body_derivation),
-                            witness=solution.witness,
-                        )
-                    )
-                    _guard(results, cfg)
-            if not results:
-                raise pending
-            return results
+        case Require():
+            return _require(sig, ctx, term, cfg, expected)
         case Universe(level):
             # Cumulativity applies only to universe subjects: Set_i : Set_j, i < j.
             if isinstance(normal, Universe) and level < normal.level:

@@ -9,6 +9,7 @@ every projection spine filtered by the typechecker.
 from __future__ import annotations
 
 import random
+from collections import deque
 
 from presup import (
     contains_require,
@@ -29,6 +30,7 @@ from presup import (
     TypeCheckError,
     Universe,
     Var,
+    alpha_eq,
     alpha_key,
     convertible,
     infer_all,
@@ -36,6 +38,8 @@ from presup import (
     solve,
     substitute,
 )
+from presup.derivations import CONST, CONV, HYP, SIG_E1, SIG_E2, Derivation, Judgment
+from presup.solver import Solution
 
 # ---------------------------------------------------------------------------
 # Leftmost-outermost rewriting (oracle for normalize)
@@ -150,6 +154,65 @@ def spine_oracle(sig: Signature, ctx: Context, goal: Term, depth: int, cfg: Chec
 def solver_witness_keys(sig, ctx, goal, depth, max_solutions=10_000):
     cfg = CheckConfig(solver_depth=depth, max_solutions_per_require=max_solutions)
     return {alpha_key(normalize(s.witness)) for s in solve(sig, ctx, goal, cfg)}
+
+
+def reference_spines(sig: Signature, ctx: Context, depth: int, step_budget: int = 100_000):
+    """(term, normal type, derivation) for every projection spine, heads
+    newest hypothesis first then signature oldest first, each head's paths
+    breadth-first: a linear scan that rebuilds every spine on each call."""
+    heads = [(Var(name), entry_type, HYP) for name, entry_type in reversed(ctx.entries)]
+    heads += [(Const(name), entry_type, CONST) for name, entry_type in sig.entries]
+    out = []
+    for head, declared, rule in heads:
+        derivation = Derivation(rule, Judgment(sig, ctx, head, declared))
+        normal = normalize(declared, step_budget)
+        if not alpha_eq(normal, declared):
+            derivation = Derivation(CONV, Judgment(sig, ctx, head, normal), (derivation,))
+        queue = deque([(head, normal, derivation, 0)])
+        while queue:
+            term, spine_type, term_derivation, length = queue.popleft()
+            out.append((term, spine_type, term_derivation))
+            if length >= depth or not isinstance(spine_type, Sigma):
+                continue
+            first = Fst(term)
+            first_derivation = Derivation(
+                SIG_E1, Judgment(sig, ctx, first, spine_type.domain), (term_derivation,)
+            )
+            queue.append((first, spine_type.domain, first_derivation, length + 1))
+            second = Snd(term)
+            second_type = substitute(spine_type.codomain, spine_type.binder, first)
+            second_derivation = Derivation(
+                SIG_E2, Judgment(sig, ctx, second, second_type), (term_derivation,)
+            )
+            second_normal = normalize(second_type, step_budget)
+            if not alpha_eq(second_normal, second_type):
+                second_derivation = Derivation(
+                    CONV, Judgment(sig, ctx, second, second_normal), (second_derivation,)
+                )
+            queue.append((second, second_normal, second_derivation, length + 1))
+    return out
+
+
+def reference_solve(sig: Signature, ctx: Context, goal: Term, cfg: CheckConfig) -> list:
+    """Witnesses by testing every spine from reference_spines for
+    convertibility with the goal, deduplicated and truncated at the cap."""
+    solutions = []
+    seen = set()
+    for term, spine_type, derivation in reference_spines(
+        sig, ctx, cfg.solver_depth, cfg.step_budget
+    ):
+        if len(solutions) >= cfg.max_solutions_per_require:
+            break
+        if not convertible(spine_type, goal, cfg.step_budget):
+            continue
+        key = alpha_key(normalize(term, cfg.step_budget))
+        if key in seen:
+            continue
+        seen.add(key)
+        if not alpha_eq(spine_type, goal):
+            derivation = Derivation(CONV, Judgment(sig, ctx, term, goal), (derivation,))
+        solutions.append(Solution(term, derivation))
+    return solutions
 
 
 # ---------------------------------------------------------------------------

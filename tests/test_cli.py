@@ -1,8 +1,13 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import presup
 from presup import alpha_eq, parse_term
 from presup.cli import main
 
@@ -233,3 +238,52 @@ def _collect_witnesses(node):
     for premise in node["premises"]:
         found.extend(_collect_witnesses(premise))
     return found
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--max-solutions", "0", "argument --max-solutions: must be at least 1, got 0"),
+        ("--depth", "-3", "argument --depth: must be at least 0, got -3"),
+        ("--step-budget", "-1", "argument --step-budget: must be at least 0, got -1"),
+        ("--max", "-1", "argument --max: must be at least 0, got -1"),
+    ],
+)
+def test_bound_flags_reject_out_of_range_values(pctx_file, capsys, flag, value, message):
+    with pytest.raises(SystemExit) as exit_info:
+        run(["elaborate", flag, value, "--context", pctx_file, "fst p"])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err.rstrip("\n").endswith(f"error: {message}")
+
+
+def test_bound_flags_accept_their_least_values(pctx_file):
+    assert run(["solve", "--depth", "0", "--context", pctx_file, "E"])[0] == 1
+    assert run(["solve", "--max-solutions", "1", "--context", pctx_file, "E"])[1] == "fst p : E\n"
+
+
+def test_definite_past_fifteen_fillers():
+    text = "A farmer owns a donkey. " + "A man walked in. " * 15 + "The farmer beats the donkey."
+    code, out, err = run(["elaborate", "--discourse", text])
+    assert code == 0
+    assert err == ""
+    assert out.endswith(" * Beats (fst p) (fst (snd (snd p))) : Set0\n")
+
+
+def test_deeply_nested_input_is_a_one_line_error():
+    code, out, err = run(["elaborate", "--discourse", "A man walked in. " * 500])
+    assert code == 1
+    assert out == ""
+    assert err == "error: input nested too deeply (Python recursion limit reached)\n"
+
+
+def test_python_dash_m_runs_the_cli(pctx_file):
+    package_root = str(Path(presup.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": package_root}
+    result = subprocess.run(
+        [sys.executable, "-m", "presup", "solve", "--context", pctx_file, "E"],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=False,
+    )
+    assert (result.returncode, result.stdout) == (0, "fst p : E\n")

@@ -1,12 +1,17 @@
 import random
 
+import pytest
+
 from presup import (
     App,
     CheckConfig,
     Const,
     Context,
     Fst,
+    Lam,
+    Pair,
     Pi,
+    Sigma,
     Snd,
     Universe,
     Var,
@@ -18,7 +23,13 @@ from presup import (
     validate,
 )
 
-from helpers import random_context, solver_witness_keys, spine_oracle
+from helpers import (
+    random_context,
+    reference_solve,
+    reference_spines,
+    solver_witness_keys,
+    spine_oracle,
+)
 
 ENTITY = Const("E")
 
@@ -167,3 +178,93 @@ def _free(term):
     from presup import free_vars
 
     return free_vars(term)
+
+
+def _redex_context():
+    """Hypotheses whose declared types and second projections need
+    normalizing, so spine derivations carry Conv nodes."""
+    man = Lam("y", App(Const("Man"), Var("y")))
+    entity_pair = Sigma("x", ENTITY, App(Const("Man"), Var("x")))
+    return (
+        Context()
+        .extend("r", App(Lam("y", entity_pair), ENTITY))
+        .extend("s", Sigma("x", ENTITY, App(man, Var("x"))))
+    )
+
+
+def _solver_contexts(pctx, donkey_ctx):
+    rng = random.Random(59)
+    contexts = [Context(), pctx, donkey_ctx, pctx.extend("q", ENTITY), _redex_context()]
+    return contexts + [random_context(rng) for _ in range(25)]
+
+
+@pytest.mark.parametrize("depth", [1, 4, 8])
+def test_solve_equals_reference_scan(sig, pctx, donkey_ctx, depth):
+    rng = random.Random(depth)
+    for ctx in _solver_contexts(pctx, donkey_ctx):
+        spines = reference_spines(sig, ctx, depth)
+        # Fst <E, E> is convertible with E but not alpha-equal to it.
+        goals = [ENTITY, Universe(0), Fst(Pair(ENTITY, ENTITY))]
+        goals += [spine_type for _, spine_type, _ in rng.sample(spines, min(3, len(spines)))]
+        for cap in (1, 3, 16):
+            cfg = CheckConfig(solver_depth=depth, max_solutions_per_require=cap)
+            for goal in goals:
+                solutions = solve(sig, ctx, goal, cfg)
+                assert solutions == reference_solve(sig, ctx, goal, cfg)
+                for solution in solutions:
+                    validate(solution.derivation)
+
+
+@pytest.mark.parametrize("depth", [0, 1, 4, 8])
+def test_enumerate_spines_order_equals_reference_scan(sig, pctx, donkey_ctx, depth):
+    for ctx in _solver_contexts(pctx, donkey_ctx):
+        spines = reference_spines(sig, ctx, depth)
+        expected = [(term, spine_type) for term, spine_type, _ in spines]
+        assert enumerate_spines(sig, ctx, depth) == expected
+
+
+def test_solve_with_zero_cap_returns_nothing(sig, pctx):
+    assert solve(sig, pctx, ENTITY, CheckConfig(max_solutions_per_require=0)) == []
+
+
+def test_uncapped_solve_returns_every_witness_in_order(sig):
+    ctx = Context()
+    for index in range(20):
+        ctx = ctx.extend(f"e{index}", ENTITY)
+    cfg = CheckConfig(max_solutions_per_require=3)
+    witnesses = [str(s.witness) for s in solve(sig, ctx, ENTITY, cfg, capped=False)]
+    assert witnesses == [f"e{index}" for index in reversed(range(20))]
+
+
+def test_no_solver_state_survives_top_level_calls(sig, pctx):
+    from presup import infer_all, parse_term, solver
+
+    term = parse_term("SatDown (require x : E in x)", sig.names)
+    before = dict(vars(solver))
+    for _ in range(2):
+        infer_all(sig, pctx, term)
+        solve(sig, pctx, ENTITY)
+        assert solver._TABLES.get() is None
+    assert vars(solver) == before
+
+
+def test_tables_are_built_once_per_head_within_a_call(sig, pctx, monkeypatch):
+    from presup import infer_all, parse_term, solver
+
+    built = []
+
+    class CountingTable(solver._Table):
+        def __init__(self, head, *args):
+            built.append(str(head))
+            super().__init__(head, *args)
+
+    monkeypatch.setattr(solver, "_Table", CountingTable)
+    term = parse_term(
+        "SatDown (require x : E in x) * WalkedIn (require y : E in y) * Man (require z : E in z)",
+        sig.names,
+    )
+    assert len(infer_all(sig, pctx, term)) == 1
+    # Three presuppositions (and the hypotheses that the pair types bind),
+    # but each head's spines are computed once.
+    assert len(built) == len(set(built))
+    assert {"p"} | {name for name, _ in sig.entries} <= set(built)

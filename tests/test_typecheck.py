@@ -4,6 +4,7 @@ import pytest
 
 from presup import (
     App,
+    BinderEscape,
     CannotInfer,
     CheckConfig,
     Const,
@@ -28,6 +29,8 @@ from presup import (
     check_signature,
     convertible,
     infer_all,
+    interpret,
+    parse_discourse,
     parse_term,
     to_json,
     validate,
@@ -341,3 +344,51 @@ def _witnesses(derivation):
     from presup import alpha_key
 
     return tuple(alpha_key(node.witness) for node in _require_nodes(derivation))
+
+
+def _entities_with_one_donkey(count):
+    """e0 .. e(count-1) : E, newest last, and a Donkey proof for e0 only."""
+    ctx = Context()
+    for index in range(count):
+        ctx = ctx.extend(f"e{index}", ENTITY)
+    return ctx.extend("d", App(Const("Donkey"), Var("e0")))
+
+
+def test_require_looks_past_the_cap_for_a_witness_whose_body_checks(sig):
+    # The 20 entities are all candidates for x; only the oldest, beyond the
+    # first 16, lets the inner presupposition resolve.
+    ctx = _entities_with_one_donkey(20)
+    term = parse_term("require x : E in require y : Donkey x in x", sig.names)
+    inferred = infer_all(sig, ctx, term)
+    assert [d.witness for d in inferred] == [Var("e0")]
+    checked = check_all(sig, ctx, term, ENTITY)
+    assert [d.witness for d in checked] == [Var("e0")]
+    for derivation in inferred + checked:
+        validate(derivation)
+
+
+def test_require_cap_counts_witnesses_whose_body_checks(sig):
+    ctx = Context()
+    for index in range(20):
+        donkey = App(Const("Donkey"), Var(f"e{index}"))
+        ctx = ctx.extend(f"e{index}", ENTITY).extend(f"d{index}", donkey)
+    term = parse_term("require x : E in require y : Donkey x in x", sig.names)
+    cfg = CheckConfig(max_solutions_per_require=3)
+    witnesses = [d.witness for d in infer_all(sig, ctx, term, cfg)]
+    assert witnesses == [Var("e19"), Var("e18"), Var("e17")]
+    assert len(infer_all(sig, ctx, term)) == 16
+
+
+def test_definite_resolves_past_fifteen_later_entities(sig):
+    text = "A farmer owns a donkey. " + "A man walked in. " * 15 + "The farmer beats the donkey."
+    readings = infer_all(sig, Context(), interpret(parse_discourse(text)))
+    assert len(readings) == 1
+    validate(readings[0])
+
+
+def test_require_binder_escape_is_a_type_error(sig):
+    # An unchecked context whose hypothesis mentions the binder's name.
+    ctx = Context().extend("e", ENTITY).extend("h", App(Const("Man"), Var("x")))
+    term = parse_term("require x : E in h", sig.names)
+    with pytest.raises(BinderEscape):
+        infer_all(sig, ctx, term)
