@@ -33,6 +33,7 @@ from presup import (
     alpha_eq,
     alpha_key,
     convertible,
+    free_vars,
     infer_all,
     normalize,
     solve,
@@ -420,3 +421,61 @@ def _pool_type(rng, pool):
     candidates = [e.term for e in pool if isinstance(e.type, Universe)]
     candidates.append(Const("E"))
     return rng.choice(candidates)
+
+
+# ---------------------------------------------------------------------------
+# The recursive printer (oracle for format_term)
+
+
+def reference_format(term: Term) -> str:
+    """format_term as a plain recursion that recomputes free_vars of every
+    codomain it meets (quadratic on right-nested types)."""
+    match term:
+        case Lam(binder, body):
+            return f"\\{binder}. {reference_format(body)}"
+        case Require(binder, goal_type, body):
+            return f"require {binder} : {reference_format(goal_type)} in {reference_format(body)}"
+        case Let(binder, annot, value, body):
+            return (
+                f"let {binder} : {reference_format(annot)} = {reference_format(value)}"
+                f" in {reference_format(body)}"
+            )
+        case Pi(binder, domain, codomain) | Sigma(binder, domain, codomain):
+            arrow = "->" if isinstance(term, Pi) else "*"
+            if binder in free_vars(codomain):
+                return f"({binder} : {reference_format(domain)}) {arrow} {reference_format(codomain)}"
+            return f"{_reference_operand(domain)} {arrow} {reference_format(codomain)}"
+        case _:
+            return _reference_app(term)
+
+
+def _reference_operand(term: Term) -> str:
+    match term:
+        case Pi() | Sigma() | Lam() | Require() | Let():
+            return f"({reference_format(term)})"
+        case _:
+            return _reference_app(term)
+
+
+def _reference_app(term: Term) -> str:
+    match term:
+        case App(fun, arg):
+            return f"{_reference_app(fun)} {_reference_atom(arg)}"
+        case Fst(pair):
+            return f"fst {_reference_atom(pair)}"
+        case Snd(pair):
+            return f"snd {_reference_atom(pair)}"
+        case _:
+            return _reference_atom(term)
+
+
+def _reference_atom(term: Term) -> str:
+    match term:
+        case Var(name) | Const(name):
+            return name
+        case Universe(level):
+            return f"Set{level}"
+        case Pair(first, second):
+            return f"<{reference_format(first)}, {reference_format(second)}>"
+        case _:
+            return f"({reference_format(term)})"

@@ -1,4 +1,5 @@
 import random
+from dataclasses import fields
 
 from presup import (
     App,
@@ -6,18 +7,54 @@ from presup import (
     Fst,
     Lam,
     Pair,
+    Pi,
     Require,
     Sigma,
     Snd,
+    Term,
     Var,
     alpha_eq,
+    alpha_key,
+    format_term,
     free_vars,
+    interpret,
     nested_proj,
+    parse_discourse,
     parse_term,
     substitute,
 )
 
-from helpers import random_syntactic_term
+from helpers import random_syntactic_term, reference_format
+
+PAPER_DISCOURSES = (
+    "A man walked in. He sat down.",
+    "A man walked in. The man (then) sat down.",
+    "If a farmer owns a donkey, he beats it.",
+    "Every farmer who owns a donkey beats it.",
+    "A farmer owns a donkey. The farmer beats the donkey.",
+    "A man walked in. He sat down. " * 6,
+)
+
+
+def _rebuilt(term: Term) -> Term:
+    """A structurally equal copy that shares no term node with the original."""
+    values = [getattr(term, f.name) for f in fields(term)]
+    return type(term)(*[_rebuilt(v) if isinstance(v, Term) else v for v in values])
+
+
+def _renamed(term: Term, counter: list) -> Term:
+    """An alpha-equivalent copy with every binder renamed to a fresh name."""
+    values = {f.name: getattr(term, f.name) for f in fields(term)}
+    for name, value in values.items():
+        if isinstance(value, Term):
+            values[name] = _renamed(value, counter)
+    if "binder" in values:
+        counter[0] += 1
+        fresh = f"r{counter[0]}"
+        scope = next(n for n in ("codomain", "body") if n in values)
+        values[scope] = substitute(values[scope], values["binder"], Var(fresh))
+        values["binder"] = fresh
+    return type(term)(**values)
 
 
 def test_substitute_variable_head():
@@ -141,3 +178,43 @@ def test_pair_projection_components():
     pair = Pair(Const("A"), Const("B"))
     assert free_vars(pair) == frozenset()
     assert nested_proj(pair, 1) == Fst(pair)
+
+
+def test_format_term_matches_reference_printer_on_random_terms():
+    rng = random.Random(21)
+    for _ in range(200):
+        term = random_syntactic_term(rng, rng.randrange(1, 6))
+        assert format_term(term) == reference_format(term)
+
+
+def test_format_term_matches_reference_printer_on_paper_meanings():
+    for text in PAPER_DISCOURSES:
+        meaning = interpret(parse_discourse(text))
+        assert format_term(meaning) == reference_format(meaning)
+
+
+def test_alpha_eq_agrees_with_alpha_key_on_seeded_pairs():
+    rng = random.Random(22)
+    counter = [0]
+    pairs = []
+    for _ in range(150):
+        a = random_syntactic_term(rng, rng.randrange(1, 5))
+        b = random_syntactic_term(rng, rng.randrange(1, 5))
+        shared = random_syntactic_term(rng, 3)
+        pairs += [
+            (a, b),
+            (a, a),
+            (a, _rebuilt(a)),
+            (a, _renamed(a, counter)),
+            (Pi("x", shared, shared), Pi("y", shared, _rebuilt(shared))),
+            (Pair(shared, a), Pair(shared, b)),
+            (Sigma("x", a, shared), Sigma("x", _renamed(a, counter), shared)),
+            (Lam("x", shared), Lam("x", _renamed(shared, counter))),
+        ]
+    agreed = {True: 0, False: 0}
+    for a, b in pairs:
+        expected = alpha_key(a) == alpha_key(b)
+        assert alpha_eq(a, b) == expected
+        assert alpha_eq(b, a) == expected
+        agreed[expected] += 1
+    assert agreed[True] > 500 and agreed[False] > 100
