@@ -378,17 +378,30 @@ _CHECKERS = {
 
 def to_json_dict(derivation: Derivation) -> dict:
     """Serialize a derivation to plain dicts; terms in concrete syntax."""
+    return _json_node(derivation, {})
+
+
+def _json_node(derivation: Derivation, texts: dict) -> dict:
     j = derivation.conclusion
     node = {
         "rule": derivation.rule,
-        "ctx": [f"{name} : {format_term(t)}" for name, t in j.ctx.entries],
-        "term": format_term(j.subject),
-        "type": format_term(j.classifier),
-        "premises": [to_json_dict(p) for p in derivation.premises],
+        "ctx": [f"{name} : {_text(t, texts)}" for name, t in j.ctx.entries],
+        "term": _text(j.subject, texts),
+        "type": _text(j.classifier, texts),
+        "premises": [_json_node(p, texts) for p in derivation.premises],
     }
     if derivation.witness is not None:
-        node["witness"] = format_term(derivation.witness)
+        node["witness"] = _text(derivation.witness, texts)
     return node
+
+
+def _text(term: Term, texts: dict) -> str:
+    # One rendering per distinct term per call, keyed by identity: context
+    # entries recur at every node below their binder.
+    text = texts.get(id(term))
+    if text is None:
+        text = texts[id(term)] = format_term(term)
+    return text
 
 
 def to_json(derivation: Derivation) -> str:

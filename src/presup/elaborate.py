@@ -9,6 +9,7 @@ keeps its type (checked by the tests with an independent re-check).
 
 from __future__ import annotations
 
+from . import derivations as D
 from .derivations import CheckConfig, Derivation, InvalidDerivation, validate
 from .syntax import App, Context, Fst, Lam, Let, Pair, Pi, Sigma, Signature, Snd, Term
 from .typecheck import infer_all
@@ -31,32 +32,32 @@ def _binder_of(premise: Derivation) -> str:
 def _elab(d: Derivation) -> Term:
     premises = d.premises
     match d.rule:
-        case "Const" | "Hyp" | "Cumulativity":
+        case D.CONST | D.HYP | D.CUMULATIVITY:
             return d.conclusion.subject
-        case "PiF":
+        case D.PI_F:
             return Pi(_binder_of(premises[1]), _elab(premises[0]), _elab(premises[1]))
-        case "SigF":
+        case D.SIG_F:
             return Sigma(_binder_of(premises[1]), _elab(premises[0]), _elab(premises[1]))
-        case "PiI":
+        case D.PI_I:
             return Lam(_binder_of(premises[0]), _elab(premises[0]))
-        case "PiE":
+        case D.PI_E:
             return App(_elab(premises[0]), _elab(premises[1]))
-        case "SigI":
+        case D.SIG_I:
             return Pair(_elab(premises[0]), _elab(premises[1]))
-        case "SigE1":
+        case D.SIG_E1:
             return Fst(_elab(premises[0]))
-        case "SigE2":
+        case D.SIG_E2:
             return Snd(_elab(premises[0]))
-        case "Let":
+        case D.LET:
             return Let(
                 _binder_of(premises[1]),
                 d.conclusion.subject.annot,
                 _elab(premises[0]),
                 _elab(premises[1]),
             )
-        case "Conv":
+        case D.CONV:
             return _elab(premises[0])
-        case "Require":
+        case D.REQUIRE:
             # The witness is already substituted in the second premise.
             return _elab(premises[1])
     raise InvalidDerivation(f"unknown rule: {d.rule}")

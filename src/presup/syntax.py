@@ -118,26 +118,42 @@ def free_vars(term: Term) -> frozenset[str]:
     Constants never count as free variables; binders remove their name from
     their scope only.
     """
+    return _free(term, None)
+
+
+def _free(term: Term, memo: dict | None) -> frozenset[str]:
+    # With a memo (keyed by node identity, owned by one caller), each node's
+    # set is computed once however often it is asked for.
+    if memo is not None:
+        found = memo.get(id(term))
+        if found is not None:
+            return found
     match term:
         case Var(name):
-            return frozenset((name,))
+            result = frozenset((name,))
         case Const() | Universe():
-            return frozenset()
+            result = frozenset()
         case App(fun, arg):
-            return free_vars(fun) | free_vars(arg)
+            result = _free(fun, memo) | _free(arg, memo)
         case Pair(first, second):
-            return free_vars(first) | free_vars(second)
+            result = _free(first, memo) | _free(second, memo)
         case Fst(pair) | Snd(pair):
-            return free_vars(pair)
+            result = _free(pair, memo)
         case Pi(binder, domain, codomain) | Sigma(binder, domain, codomain):
-            return free_vars(domain) | (free_vars(codomain) - {binder})
+            result = _free(domain, memo) | (_free(codomain, memo) - {binder})
         case Lam(binder, body):
-            return free_vars(body) - {binder}
+            result = _free(body, memo) - {binder}
         case Require(binder, goal_type, body):
-            return free_vars(goal_type) | (free_vars(body) - {binder})
+            result = _free(goal_type, memo) | (_free(body, memo) - {binder})
         case Let(binder, annot, value, body):
-            return free_vars(annot) | free_vars(value) | (free_vars(body) - {binder})
-    raise TypeError(f"not a term: {term!r}")
+            result = (
+                _free(annot, memo) | _free(value, memo) | (_free(body, memo) - {binder})
+            )
+        case _:
+            raise TypeError(f"not a term: {term!r}")
+    if memo is not None:
+        memo[id(term)] = result
+    return result
 
 
 def fresh_name(base: str, avoid) -> str:
@@ -257,8 +273,13 @@ def _key(term: Term, bound: dict, depth: int):
 
 
 def alpha_eq(a: Term, b: Term) -> bool:
-    """True iff a and b are identical up to renaming of bound variables."""
-    return alpha_key(a) == alpha_key(b)
+    """True iff a and b are identical up to renaming of bound variables.
+
+    Structurally equal terms are alpha-equivalent, and `==` on the frozen
+    dataclasses compares fields identity-first, so terms that share most of
+    their structure are settled without building either key.
+    """
+    return a is b or a == b or alpha_key(a) == alpha_key(b)
 
 
 def nested_proj(term: Term, index: int) -> Term:
@@ -354,56 +375,62 @@ def format_term(term: Term) -> str:
     and pair types print as A -> B and A * B; both extend maximally to the
     right, as do all binders.
     """
+    # One free-variable memo per call (see _free): the dependency test at a
+    # Pi/Sigma reuses the sets computed for the codomains nested inside it.
+    return _format(term, {})
+
+
+def _format(term: Term, memo: dict) -> str:
     match term:
         case Lam(binder, body):
-            return f"\\{binder}. {format_term(body)}"
+            return f"\\{binder}. {_format(body, memo)}"
         case Require(binder, goal_type, body):
-            return f"require {binder} : {format_term(goal_type)} in {format_term(body)}"
+            return f"require {binder} : {_format(goal_type, memo)} in {_format(body, memo)}"
         case Let(binder, annot, value, body):
             return (
-                f"let {binder} : {format_term(annot)} = {format_term(value)}"
-                f" in {format_term(body)}"
+                f"let {binder} : {_format(annot, memo)} = {_format(value, memo)}"
+                f" in {_format(body, memo)}"
             )
         case Pi(binder, domain, codomain):
-            if binder in free_vars(codomain):
-                return f"({binder} : {format_term(domain)}) -> {format_term(codomain)}"
-            return f"{_format_operand(domain)} -> {format_term(codomain)}"
+            if binder in _free(codomain, memo):
+                return f"({binder} : {_format(domain, memo)}) -> {_format(codomain, memo)}"
+            return f"{_format_operand(domain, memo)} -> {_format(codomain, memo)}"
         case Sigma(binder, domain, codomain):
-            if binder in free_vars(codomain):
-                return f"({binder} : {format_term(domain)}) * {format_term(codomain)}"
-            return f"{_format_operand(domain)} * {format_term(codomain)}"
+            if binder in _free(codomain, memo):
+                return f"({binder} : {_format(domain, memo)}) * {_format(codomain, memo)}"
+            return f"{_format_operand(domain, memo)} * {_format(codomain, memo)}"
         case _:
-            return _format_app(term)
+            return _format_app(term, memo)
 
 
-def _format_operand(term: Term) -> str:
+def _format_operand(term: Term, memo: dict) -> str:
     # Left operand of -> or *: binder-like forms would swallow the operator.
     match term:
         case Pi() | Sigma() | Lam() | Require() | Let():
-            return f"({format_term(term)})"
+            return f"({_format(term, memo)})"
         case _:
-            return _format_app(term)
+            return _format_app(term, memo)
 
 
-def _format_app(term: Term) -> str:
+def _format_app(term: Term, memo: dict) -> str:
     match term:
         case App(fun, arg):
-            return f"{_format_app(fun)} {_format_atom(arg)}"
+            return f"{_format_app(fun, memo)} {_format_atom(arg, memo)}"
         case Fst(pair):
-            return f"fst {_format_atom(pair)}"
+            return f"fst {_format_atom(pair, memo)}"
         case Snd(pair):
-            return f"snd {_format_atom(pair)}"
+            return f"snd {_format_atom(pair, memo)}"
         case _:
-            return _format_atom(term)
+            return _format_atom(term, memo)
 
 
-def _format_atom(term: Term) -> str:
+def _format_atom(term: Term, memo: dict) -> str:
     match term:
         case Var(name) | Const(name):
             return name
         case Universe(level):
             return f"Set{level}"
         case Pair(first, second):
-            return f"<{format_term(first)}, {format_term(second)}>"
+            return f"<{_format(first, memo)}, {_format(second, memo)}>"
         case _:
-            return f"({format_term(term)})"
+            return f"({_format(term, memo)})"

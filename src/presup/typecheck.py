@@ -213,25 +213,26 @@ def check_all(
 def _dedup(derivations: list, cfg: CheckConfig) -> list:
     out = []
     seen = set()
+    trails = {}
     for derivation in derivations:
-        key = (_witness_trail(derivation), alpha_key(derivation.conclusion.classifier))
+        key = (_witness_trail(derivation, trails), alpha_key(derivation.conclusion.classifier))
         if key not in seen:
             seen.add(key)
             out.append(derivation)
     return out
 
 
-def _witness_trail(derivation: Derivation) -> tuple:
-    trail = []
-
-    def walk(node: Derivation) -> None:
-        if node.rule == REQUIRE:
-            trail.append(alpha_key(node.witness))
+def _witness_trail(node: Derivation, trails: dict) -> tuple:
+    """The alpha keys of the Require witnesses in pre-order.  Readings share
+    subtrees, so each node's trail is kept in `trails` (keyed by identity,
+    owned by one _dedup call) and a shared subtree is walked once."""
+    trail = trails.get(id(node))
+    if trail is None:
+        trail = (alpha_key(node.witness),) if node.rule == REQUIRE else ()
         for premise in node.premises:
-            walk(premise)
-
-    walk(derivation)
-    return tuple(trail)
+            trail += _witness_trail(premise, trails)
+        trails[id(node)] = trail
+    return trail
 
 
 def _guard(results: list, cfg: CheckConfig) -> None:
@@ -316,12 +317,17 @@ def _infer_formation(sig: Signature, ctx: Context, term: Term, cfg: CheckConfig)
     #        ctx |- (x : A) -> B : Set_max(i,j)        (and likewise for *)
     shape = type(term)
     rule = PI_F if shape is Pi else SIG_F
+    # The codomain's derivations do not depend on the domain's, so they are
+    # built once, after the domain's (whose errors come first), and shared by
+    # every reading of the domain.
     binder, codomain = _open_binder(sig, ctx, term.binder, term.codomain)
+    dom_derivations = _type_derivations(sig, ctx, term.domain, cfg)
     inner = ctx.extend(binder, term.domain)
+    cod_derivations = _type_derivations(sig, inner, codomain, cfg)
+    subject = shape(binder, term.domain, codomain)
     results = []
-    for dom_derivation, dom_level in _type_derivations(sig, ctx, term.domain, cfg):
-        for cod_derivation, cod_level in _type_derivations(sig, inner, codomain, cfg):
-            subject = shape(binder, term.domain, codomain)
+    for dom_derivation, dom_level in dom_derivations:
+        for cod_derivation, cod_level in cod_derivations:
             classifier = Universe(max(dom_level, cod_level))
             results.append(
                 Derivation(
@@ -499,9 +505,11 @@ def _check(sig: Signature, ctx: Context, term: Term, expected: Term, cfg: CheckC
             if not isinstance(normal, Sigma):
                 raise TypeMismatch(expected, term)
             second_type = substitute(normal.codomain, normal.binder, first)
+            first_derivations = _check(sig, ctx, first, normal.domain, cfg)
+            second_derivations = _check(sig, ctx, second, second_type, cfg)
             results = []
-            for first_derivation in _check(sig, ctx, first, normal.domain, cfg):
-                for second_derivation in _check(sig, ctx, second, second_type, cfg):
+            for first_derivation in first_derivations:
+                for second_derivation in second_derivations:
                     subject = Pair(
                         first_derivation.conclusion.subject,
                         second_derivation.conclusion.subject,

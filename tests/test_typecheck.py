@@ -17,6 +17,7 @@ from presup import (
     NotAPair,
     Pair,
     Pi,
+    Sigma,
     Signature,
     TypeMismatch,
     UnboundName,
@@ -35,6 +36,7 @@ from presup import (
     to_json,
     validate,
 )
+from presup import typecheck
 from presup.lexicon import entry
 
 from helpers import random_context, typed_pool
@@ -392,3 +394,36 @@ def test_require_binder_escape_is_a_type_error(sig):
     term = parse_term("require x : E in h", sig.names)
     with pytest.raises(BinderEscape):
         infer_all(sig, ctx, term)
+
+
+def _distinct_nodes(derivations) -> int:
+    seen = set()
+    stack = list(derivations)
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node.premises)
+    return len(seen)
+
+
+def test_readings_share_their_codomain_derivations(sig):
+    # x5 pronoun chain: 5! readings.  Each sentence's codomain (the rest of
+    # the discourse) is derived once and shared by every reading of the
+    # sentence, so the readings reach far fewer nodes than 120 separate trees.
+    meaning = interpret(parse_discourse("A man walked in. He sat down. " * 5))
+    raw = typecheck._infer(sig, Context(), meaning, typecheck.DEFAULT_CONFIG)
+    assert len(raw) == 120
+    assert len(typecheck._dedup(raw, typecheck.DEFAULT_CONFIG)) == 120
+    derivations = infer_all(sig, Context(), meaning)
+    assert len(derivations) == 120
+    assert _distinct_nodes(derivations) < 1000
+    for derivation in derivations:
+        validate(derivation)
+
+
+def test_formation_reports_domain_errors_before_codomain_errors(sig):
+    with pytest.raises(NotAPair):
+        infer_all(sig, Context(), Sigma("x", Fst(Universe(0)), Var("missing")))
+    with pytest.raises(UnboundName):
+        infer_all(sig, Context(), Sigma("x", Const("E"), Var("missing")))
