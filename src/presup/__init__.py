@@ -22,6 +22,7 @@ from .evaluator import (
     NonTermination,
     StuckTerm,
     UnresolvedRequire,
+    convertible,
     eval_closed,
     normalize,
 )
@@ -54,6 +55,7 @@ from .syntax import (
     Sigma,
     Signature,
     Snd,
+    Telescope,
     Term,
     Universe,
     Var,
@@ -81,7 +83,6 @@ from .typecheck import (
     check_all,
     check_context,
     check_signature,
-    convertible,
     infer_all,
 )
 

@@ -10,14 +10,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from dataclasses import replace
 
 from .derivations import CheckConfig, to_json_dict
 from .elaborate import elaborate_all
-from .evaluator import EvalError
+from .evaluator import EvalError, normalize
 from .frontend import (
     ParseError,
     UnknownWord,
+    _parse_entry_line,
     interpret,
     parse_context_text,
     parse_discourse,
@@ -26,7 +28,7 @@ from .frontend import (
 )
 from .lexicon import base_signature
 from .solver import solve
-from .syntax import Context, format_term
+from .syntax import Context, Universe, format_term
 from .typecheck import TypeCheckError, UnresolvedPresupposition, check_context, check_signature, infer_all
 
 
@@ -94,22 +96,37 @@ def _config(args) -> CheckConfig:
 def _load_environment(args, cfg: CheckConfig):
     sig = base_signature()
     if args.signature:
-        with open(args.signature, encoding="utf-8") as handle:
-            sig = parse_signature_text(handle.read(), sig)
+        sig = parse_signature_text(_read_file(args.signature), sig)
     check_signature(sig, cfg)
     ctx = Context()
     if getattr(args, "context", None):
-        with open(args.context, encoding="utf-8") as handle:
-            ctx = parse_context_text(handle.read(), sig)
+        ctx = parse_context_text(_read_file(args.context), sig)
     check_context(sig, ctx, cfg)
     return sig, ctx
 
 
+def _read_file(path: str) -> str:
+    """The file's text; undecodable bytes are an OSError like a missing file."""
+    with open(path, encoding="utf-8") as handle:
+        try:
+            return handle.read()
+        except UnicodeDecodeError as error:
+            raise OSError(f"{path}: not valid UTF-8 ({error.reason} at byte {error.start})")
+
+
 def _read_input(value: str) -> str:
-    if value.startswith("@"):
-        with open(value[1:], encoding="utf-8") as handle:
-            return handle.read().strip()
-    return value
+    return _read_file(value[1:]).strip() if value.startswith("@") else value
+
+
+def _write_elaborations(results, out) -> None:
+    for elaborated, classifier in results:
+        out.write(f"{format_term(elaborated)} : {format_term(classifier)}\n")
+
+
+def _write_solutions(solutions, out) -> None:
+    for solution in solutions:
+        rendered = format_term(solution.derivation.conclusion.classifier)
+        out.write(f"{format_term(solution.witness)} : {rendered}\n")
 
 
 def _print_json(payload, out) -> None:
@@ -140,16 +157,9 @@ def cmd_check(args, out, err) -> int:
     if args.json:
         _print_json([to_json_dict(d) for d in derivations], out)
         return 0
-    groups: list = []
-    for derivation in derivations:
-        rendered = format_term(derivation.conclusion.classifier)
-        for group in groups:
-            if group[0] == rendered:
-                group[1] += 1
-                break
-        else:
-            groups.append([rendered, 1])
-    for rendered, count in groups:
+    # Counter keeps the classifiers in first-seen order.
+    groups = Counter(format_term(d.conclusion.classifier) for d in derivations)
+    for rendered, count in groups.items():
         plural = "derivation" if count == 1 else "derivations"
         out.write(f"{rendered}, {count} {plural}\n")
     return 0
@@ -172,16 +182,12 @@ def cmd_elaborate(args, out, err) -> int:
         ]
         _print_json(payload, out)
         return 0
-    for elaborated, classifier in results:
-        out.write(f"{format_term(elaborated)} : {format_term(classifier)}\n")
+    _write_elaborations(results, out)
     return 0
 
 
 def _validated_goal(sig, ctx, text: str, cfg: CheckConfig):
     """Parse a solver goal and insist it is a type under sig and ctx."""
-    from .evaluator import normalize
-    from .syntax import Universe
-
     goal = parse_term(text, sig.names)
     derivations = infer_all(sig, ctx, goal, cfg)
     classifiers = [normalize(d.conclusion.classifier, cfg.step_budget) for d in derivations]
@@ -208,9 +214,7 @@ def cmd_solve(args, out, err) -> int:
     if not solutions:
         err.write("no solutions\n")
         return 1
-    for solution in solutions:
-        rendered = format_term(solution.derivation.conclusion.classifier)
-        out.write(f"{format_term(solution.witness)} : {rendered}\n")
+    _write_solutions(solutions, out)
     return 0
 
 
@@ -247,24 +251,19 @@ def _repl_dispatch(line: str, sig, ctx, cfg, out):
         for derivation in derivations:
             out.write(f"{format_term(derivation.conclusion.classifier)}\n")
     elif command == ":elab":
-        results = elaborate_all(sig, ctx, parse_term(rest, sig.names), cfg)
-        for elaborated, classifier in results:
-            out.write(f"{format_term(elaborated)} : {format_term(classifier)}\n")
+        _write_elaborations(elaborate_all(sig, ctx, parse_term(rest, sig.names), cfg), out)
     elif command == ":solve":
         solutions = solve(sig, ctx, _validated_goal(sig, ctx, rest, cfg), cfg)
         if not solutions:
             out.write("no solutions\n")
-        for solution in solutions:
-            rendered = format_term(solution.derivation.conclusion.classifier)
-            out.write(f"{format_term(solution.witness)} : {rendered}\n")
+        _write_solutions(solutions, out)
     elif command == ":discourse":
         meaning = interpret(parse_discourse(rest))
         out.write(f"meaning: {format_term(meaning)}\n")
-        for elaborated, classifier in elaborate_all(sig, ctx, meaning, cfg):
-            out.write(f"{format_term(elaborated)} : {format_term(classifier)}\n")
+        _write_elaborations(elaborate_all(sig, ctx, meaning, cfg), out)
     elif command == ":ctx":
         if rest.startswith("add "):
-            name, entry_type = _parse_ctx_add(rest[4:], sig)
+            name, entry_type = _parse_entry_line(rest[4:].strip(), sig.names)
             extended = ctx.extend(name, entry_type)
             check_context(sig, extended, cfg)
             out.write(f"added {name} : {format_term(entry_type)}\n")
@@ -277,15 +276,6 @@ def _repl_dispatch(line: str, sig, ctx, cfg, out):
     else:
         out.write(f"unknown command: {command}\n")
     return ctx
-
-
-def _parse_ctx_add(rest: str, sig):
-    import re
-
-    match = re.fullmatch(r"([A-Za-z_][A-Za-z0-9_']*)\s*:\s*(.+)", rest.strip())
-    if match is None:
-        raise ParseError(0, "'NAME : TYPE'")
-    return match.group(1), parse_term(match.group(2), sig.names)
 
 
 def main(argv=None, out=None, err=None, instream=None) -> int:

@@ -47,25 +47,6 @@ REQUIRE = "Require"
 LET = "Let"
 CONV = "Conv"
 
-RULES = frozenset(
-    {
-        CONST,
-        HYP,
-        CUMULATIVITY,
-        PI_F,
-        PI_I,
-        PI_E,
-        SIG_F,
-        SIG_I,
-        SIG_E1,
-        SIG_E2,
-        REQUIRE,
-        LET,
-        CONV,
-    }
-)
-
-
 @dataclass(frozen=True)
 class Judgment:
     """sig; ctx |- subject : classifier"""
@@ -100,6 +81,9 @@ class CheckConfig:
     step_budget: int = DEFAULT_STEP_BUDGET
 
 
+DEFAULT_CONFIG = CheckConfig()
+
+
 class InvalidDerivation(Exception):
     """A derivation node does not follow from its premises by its rule."""
 
@@ -125,11 +109,11 @@ def _validate(derivation: Derivation) -> None:
         if premise.conclusion.sig != conclusion.sig:
             _fail(derivation, "premise under a different signature")
         _validate(premise)
-    if derivation.rule not in RULES:
+    checker = _CHECKERS.get(derivation.rule)
+    if checker is None:
         _fail(derivation, "unknown rule")
     if (derivation.witness is not None) != (derivation.rule == REQUIRE):
         _fail(derivation, "witness present iff the rule is Require")
-    checker = _CHECKERS[derivation.rule]
     checker(derivation)
 
 
@@ -185,9 +169,10 @@ def _check_cumulativity(d: Derivation) -> None:
         _fail(d, "universe levels must strictly increase")
 
 
-def _check_formation(d: Derivation, shape) -> None:
+def _check_formation(d: Derivation) -> None:
     _premise_count(d, 2)
     j = d.conclusion
+    shape = Pi if d.rule == PI_F else Sigma
     dom_premise, cod_premise = d.premises
     _same_context(d, dom_premise)
     if not isinstance(j.subject, shape):
@@ -203,14 +188,6 @@ def _check_formation(d: Derivation, shape) -> None:
     expected = Universe(max(dom_level.level, cod_level.level))
     if j.classifier != expected:
         _fail(d, f"classifier must be {format_term(expected)}")
-
-
-def _check_pi_f(d: Derivation) -> None:
-    _check_formation(d, Pi)
-
-
-def _check_sig_f(d: Derivation) -> None:
-    _check_formation(d, Sigma)
 
 
 def _check_pi_i(d: Derivation) -> None:
@@ -363,10 +340,10 @@ _CHECKERS = {
     CONST: _check_const,
     HYP: _check_hyp,
     CUMULATIVITY: _check_cumulativity,
-    PI_F: _check_pi_f,
+    PI_F: _check_formation,
     PI_I: _check_pi_i,
     PI_E: _check_pi_e,
-    SIG_F: _check_sig_f,
+    SIG_F: _check_formation,
     SIG_I: _check_sig_i,
     SIG_E1: _check_sig_e1,
     SIG_E2: _check_sig_e2,

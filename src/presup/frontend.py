@@ -35,6 +35,7 @@ from .syntax import (
     Sigma,
     Signature,
     Snd,
+    Telescope,
     Term,
     Universe,
     Var,
@@ -226,26 +227,23 @@ def parse_signature_text(text: str, base: Signature | None = None) -> Signature:
     Later lines may use earlier names as constants.  Blank lines and lines
     starting with '#' are skipped.  Validation is the typechecker's job.
     """
-    sig = base if base is not None else lexicon.base_signature()
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        name, entry_type = _parse_entry_line(line, sig.names)
-        sig = sig.extend(name, entry_type)
-    return sig
+    return _parse_entries(text, base if base is not None else lexicon.base_signature(), None)
 
 
 def parse_context_text(text: str, sig: Signature) -> Context:
     """Parse `name : type` lines as local hypotheses under sig."""
-    ctx = Context()
+    return _parse_entries(text, Context(), sig.names)
+
+
+def _parse_entries(text: str, telescope: Telescope, constants: frozenset | None) -> Telescope:
+    # Free identifiers in constants parse as constants; None means the
+    # telescope's own names so far.
     for line in text.splitlines():
         line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        name, entry_type = _parse_entry_line(line, sig.names)
-        ctx = ctx.extend(name, entry_type)
-    return ctx
+        if line and not line.startswith("#"):
+            known = telescope.names if constants is None else constants
+            telescope = telescope.extend(*_parse_entry_line(line, known))
+    return telescope
 
 
 def _parse_entry_line(line: str, constants: frozenset):

@@ -28,6 +28,7 @@ from .derivations import (
     HYP,
     SIG_E1,
     SIG_E2,
+    DEFAULT_CONFIG,
     CheckConfig,
     Derivation,
     Judgment,
@@ -45,8 +46,6 @@ from .syntax import (
     alpha_key,
     substitute,
 )
-
-DEFAULT_CONFIG = CheckConfig()
 
 # Spine tables of the current top-level call, or None outside one.
 _TABLES: ContextVar = ContextVar("spine_tables", default=None)

@@ -1,4 +1,4 @@
-"""Core term syntax: terms, signatures, contexts, and the syntactic operations.
+"""Core term syntax: terms, telescopes, and the syntactic operations.
 
 Terms are immutable trees identified up to renaming of bound variables; every
 operation defined here is insensitive to the choice of bound names.  Binders
@@ -323,10 +323,13 @@ def contains_require(term: Term) -> bool:
 
 
 @dataclass(frozen=True)
-class Signature:
-    """Ordered telescope of named constants.  Names are pairwise distinct and
-    each entry's type must check in the empty context under the preceding
-    prefix (validated by the typechecker, not on construction)."""
+class Telescope:
+    """Ordered telescope of named entries, each typed under the preceding
+    prefix.  A judgment is typed against two of them: the signature of
+    lexical constants, whose types check in the empty context, and the
+    context of local hypotheses, whose names are also fresh for the
+    signature.  Names are pairwise distinct (all validated by the
+    typechecker, not on construction)."""
 
     entries: tuple = ()
 
@@ -336,36 +339,16 @@ class Signature:
                 return entry_type
         return None
 
-    def extend(self, name: str, entry_type: Term) -> "Signature":
-        return Signature(self.entries + ((name, entry_type),))
+    def extend(self, name: str, entry_type: Term) -> "Telescope":
+        return Telescope(self.entries + ((name, entry_type),))
 
     @property
     def names(self) -> frozenset[str]:
         return frozenset(name for name, _ in self.entries)
 
 
-@dataclass(frozen=True)
-class Context:
-    """Ordered telescope of local hypotheses, disjoint from the signature."""
-
-    entries: tuple = ()
-
-    def lookup(self, name: str):
-        for entry_name, entry_type in self.entries:
-            if entry_name == name:
-                return entry_type
-        return None
-
-    def extend(self, name: str, entry_type: Term) -> "Context":
-        return Context(self.entries + ((name, entry_type),))
-
-    @property
-    def names(self) -> frozenset[str]:
-        return frozenset(name for name, _ in self.entries)
-
-
-# Words that cannot be used as identifiers in the concrete syntax.
-RESERVED_WORDS = frozenset({"fst", "snd", "require", "let", "in"})
+# The two roles a telescope plays in a judgment.
+Signature = Context = Telescope
 
 
 def format_term(term: Term) -> str:

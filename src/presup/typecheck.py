@@ -23,12 +23,12 @@ from .derivations import (
     SIG_E2,
     SIG_F,
     SIG_I,
+    DEFAULT_CONFIG,
     CheckConfig,
     Derivation,
     Judgment,
 )
-from .evaluator import convertible as _convertible
-from .evaluator import normalize
+from .evaluator import convertible, normalize
 from .solver import solve, with_spine_tables
 from .syntax import (
     App,
@@ -53,8 +53,6 @@ from .syntax import (
     fresh_name,
     substitute,
 )
-
-DEFAULT_CONFIG = CheckConfig()
 
 
 class TypeCheckError(Exception):
@@ -147,15 +145,9 @@ class BinderEscape(TypeCheckError):
 def check_signature(sig: Signature, cfg: CheckConfig | None = None) -> None:
     """Each entry's type must inhabit some universe in the empty context under
     the preceding prefix; names must be fresh.  Raises on failure."""
-    cfg = cfg or DEFAULT_CONFIG
     prefix = Signature()
     for name, entry_type in sig.entries:
-        if prefix.lookup(name) is not None:
-            raise DuplicateName(name)
-        try:
-            _type_derivations(prefix, Context(), entry_type, cfg)
-        except TypeCheckError as cause:
-            raise IllTypedEntry(name, cause) from cause
+        _check_entry(prefix, Context(), name, entry_type, cfg or DEFAULT_CONFIG)
         prefix = prefix.extend(name, entry_type)
 
 
@@ -163,24 +155,23 @@ def check_signature(sig: Signature, cfg: CheckConfig | None = None) -> None:
 def check_context(sig: Signature, ctx: Context, cfg: CheckConfig | None = None) -> None:
     """Each hypothesis type must inhabit some universe under the signature and
     the preceding prefix; names fresh with respect to both telescopes."""
-    cfg = cfg or DEFAULT_CONFIG
     prefix = Context()
     for name, entry_type in ctx.entries:
-        if prefix.lookup(name) is not None or sig.lookup(name) is not None:
-            raise DuplicateName(name)
-        try:
-            _type_derivations(sig, prefix, entry_type, cfg)
-        except TypeCheckError as cause:
-            raise IllTypedEntry(name, cause) from cause
+        _check_entry(sig, prefix, name, entry_type, cfg or DEFAULT_CONFIG)
         prefix = prefix.extend(name, entry_type)
 
 
-def convertible(a: Term, b: Term, step_budget: int | None = None) -> bool:
-    """Definitional equality of well-scoped terms (beta-normal forms compared
-    up to alpha)."""
-    if step_budget is None:
-        step_budget = DEFAULT_CONFIG.step_budget
-    return _convertible(a, b, step_budget)
+def _check_entry(
+    sig: Signature, ctx: Context, name: str, entry_type: Term, cfg: CheckConfig
+) -> None:
+    """`name : entry_type` may extend ctx under sig (a signature entry is
+    checked with the prefix as sig and ctx empty)."""
+    if sig.lookup(name) is not None or ctx.lookup(name) is not None:
+        raise DuplicateName(name)
+    try:
+        _type_derivations(sig, ctx, entry_type, cfg)
+    except TypeCheckError as cause:
+        raise IllTypedEntry(name, cause) from cause
 
 
 @with_spine_tables

@@ -287,3 +287,38 @@ def test_python_dash_m_runs_the_cli(pctx_file):
         check=False,
     )
     assert (result.returncode, result.stdout) == (0, "fst p : E\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--signature", "{bad}", "E"],
+        ["check", "--context", "{bad}", "E"],
+        ["check", "@{bad}"],
+    ],
+)
+def test_file_that_is_not_utf8_is_a_one_line_error(tmp_path, argv):
+    bad = tmp_path / "latin1"
+    bad.write_bytes(b"p : E\n# caf\xe9\n")
+    code, out, err = run([arg.format(bad=bad) for arg in argv])
+    assert (code, out) == (1, "")
+    assert err == f"error: {bad}: not valid UTF-8 (invalid continuation byte at byte 11)\n"
+
+
+def test_repl_malformed_ctx_add_reports_and_continues():
+    script = ":ctx add 1x\n:ctx add p : E\n:ctx\n:quit\n"
+    code, out, err = run(["repl"], stdin=script)
+    assert code == 0
+    assert "> error: at position 0: expected 'name : type' (got '1x')\n" in out
+    assert out.endswith("> added p : E\n> p : E\n> ")
+
+
+def test_check_groups_distinct_types_in_first_seen_order(tmp_path):
+    ctx_file = tmp_path / "ctx"
+    ctx_file.write_text("a : E\nb : E\nf : (y : E) -> Man y\n", encoding="utf-8")
+    code, out, err = run(
+        ["check", "--context", str(ctx_file), "require x : E in require y : E in f x"]
+    )
+    assert code == 0
+    # Witnesses come newest hypothesis first, so b's group precedes a's.
+    assert out == "Man b, 2 derivations\nMan a, 2 derivations\n"

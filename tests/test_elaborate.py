@@ -20,6 +20,7 @@ from presup import (
     infer_all,
     nested_proj,
     parse_term,
+    validate,
 )
 
 from helpers import random_context, typed_pool
@@ -49,6 +50,19 @@ def test_elaborate_rejects_invalid_derivations(sig):
         "Hyp", Judgment(sig, Context(), Var("p"), Const("E"))
     )
     with pytest.raises(InvalidDerivation):
+        elaborate(bogus)
+
+
+@pytest.mark.parametrize(
+    "rule, witness, reason",
+    [("Magic", None, "unknown rule"), ("Cumulativity", Universe(0), "witness present iff")],
+)
+def test_validator_rejects_unknown_rules_and_stray_witnesses(sig, rule, witness, reason):
+    judgment = Judgment(sig, Context(), Universe(0), Universe(1))
+    bogus = Derivation(rule, judgment, witness=witness)
+    with pytest.raises(InvalidDerivation, match=reason):
+        validate(bogus)
+    with pytest.raises(InvalidDerivation, match=reason):
         elaborate(bogus)
 
 
