@@ -64,6 +64,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--step-budget", type=_at_least(0), default=None, help="reduction step budget"
         )
+        p.add_argument(
+            "--max-derivations", type=_at_least(1), default=None, help="derivations per term"
+        )
 
     check = sub.add_parser("check", help="type-check a term, printing each derived type")
     common(check)
@@ -89,6 +92,7 @@ def _config(args) -> CheckConfig:
         "solver_depth": args.depth,
         "max_solutions_per_require": args.max_solutions,
         "step_budget": args.step_budget,
+        "max_total_derivations": args.max_derivations,
     }
     return replace(CheckConfig(), **{k: v for k, v in bounds.items() if v is not None})
 

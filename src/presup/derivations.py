@@ -8,7 +8,7 @@ shapes alone, independently of the typechecker that built it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .evaluator import DEFAULT_STEP_BUDGET, convertible
 from .syntax import (
@@ -47,7 +47,7 @@ REQUIRE = "Require"
 LET = "Let"
 CONV = "Conv"
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Judgment:
     """sig; ctx |- subject : classifier"""
 
@@ -57,18 +57,27 @@ class Judgment:
     classifier: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Derivation:
     """One derivation node: a rule name, its conclusion, and its premises.
 
     witness is present exactly on Require nodes; it is the chosen term whose
     derivation is the first premise.
+
+    Two results are kept on the node once computed, so readings that share a
+    subtree do that work once: _valid is set by the validator after the node
+    and all of its premises have passed, and _elaborated holds the
+    elaborator's term.  Neither can be passed to the constructor, neither
+    takes part in equality, hashing or repr, and dataclasses.replace yields
+    a node without them.
     """
 
     rule: str
     conclusion: Judgment
     premises: tuple = ()
     witness: Term | None = None
+    _valid: bool = field(default=False, init=False, repr=False, compare=False)
+    _elaborated: Term | None = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -93,7 +102,9 @@ def validate(derivation: Derivation) -> None:
 
     This only pattern-matches: it never runs inference, so it is an
     independent check on whatever produced the tree.  Raises
-    InvalidDerivation on the first ill-formed node.
+    InvalidDerivation on the first ill-formed node.  A node that has passed
+    once is marked and not checked again: its validity depends only on its
+    own immutable subtree.
     """
     _validate(derivation)
 
@@ -104,6 +115,8 @@ def _fail(derivation: Derivation, reason: str):
 
 
 def _validate(derivation: Derivation) -> None:
+    if derivation._valid:
+        return
     conclusion = derivation.conclusion
     for premise in derivation.premises:
         if premise.conclusion.sig != conclusion.sig:
@@ -115,6 +128,7 @@ def _validate(derivation: Derivation) -> None:
     if (derivation.witness is not None) != (derivation.rule == REQUIRE):
         _fail(derivation, "witness present iff the rule is Require")
     checker(derivation)
+    object.__setattr__(derivation, "_valid", True)
 
 
 def _premise_count(derivation: Derivation, count: int) -> None:

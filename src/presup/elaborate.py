@@ -30,6 +30,15 @@ def _binder_of(premise: Derivation) -> str:
 
 
 def _elab(d: Derivation) -> Term:
+    # Kept on the node, so readings sharing a subtree share its elaboration.
+    term = d._elaborated
+    if term is None:
+        term = _elab_node(d)
+        object.__setattr__(d, "_elaborated", term)
+    return term
+
+
+def _elab_node(d: Derivation) -> Term:
     premises = d.premises
     match d.rule:
         case D.CONST | D.HYP | D.CUMULATIVITY:

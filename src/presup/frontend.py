@@ -77,6 +77,10 @@ _TOKEN = re.compile(
 
 _UNIVERSE = re.compile(r"Set([0-9]*)")
 
+# Identifiers the tokenizer reads as keywords; with the universe names Set,
+# Set0, Set1, ... they can never name a variable or a constant.
+_RESERVED = ("fst", "snd", "require", "let", "in")
+
 
 def _tokenize(text: str) -> list:
     tokens = []
@@ -96,7 +100,7 @@ def _tokenize(text: str) -> list:
         if kind == "ident":
             if _UNIVERSE.fullmatch(value):
                 kind = "universe"
-            elif value in ("fst", "snd", "require", "let", "in"):
+            elif value in _RESERVED:
                 kind = value
         tokens.append((kind, value, start))
         pos = match.end()
@@ -248,7 +252,7 @@ def _parse_entries(text: str, telescope: Telescope, constants: frozenset | None)
 
 def _parse_entry_line(line: str, constants: frozenset):
     match = re.fullmatch(r"([A-Za-z_][A-Za-z0-9_']*)\s*:\s*(.+)", line)
-    if match is None:
+    if match is None or match.group(1) in _RESERVED or _UNIVERSE.fullmatch(match.group(1)):
         raise ParseError(0, f"'name : type' (got {line!r})")
     return match.group(1), parse_term(match.group(2), constants)
 

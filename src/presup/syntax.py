@@ -12,36 +12,41 @@ from dataclasses import dataclass
 
 
 class Term:
-    """Base class for all syntax nodes."""
+    """Base class for all syntax nodes.
 
-    __slots__ = ()
+    The one slot outside the dataclass fields, _fv, holds the term's
+    free-variable set once free_vars has computed it; it takes no part in
+    equality, hashing or repr.
+    """
+
+    __slots__ = ("_fv",)
 
     def __str__(self) -> str:
         return format_term(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var(Term):
     """A variable: either bound by an enclosing binder or a local hypothesis."""
 
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Const(Term):
     """A name declared in the ambient signature (a lexical constant)."""
 
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Universe(Term):
     """The type of types at the given level, written Set0, Set1, ..."""
 
     level: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pi(Term):
     """Dependent function type, written (binder : domain) -> codomain."""
 
@@ -50,7 +55,7 @@ class Pi(Term):
     codomain: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Lam(Term):
     """Function literal, written \\binder. body.  Unannotated: checked, never inferred."""
 
@@ -58,13 +63,13 @@ class Lam(Term):
     body: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class App(Term):
     fun: Term
     arg: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sigma(Term):
     """Dependent pair type, written (binder : domain) * codomain."""
 
@@ -73,23 +78,23 @@ class Sigma(Term):
     codomain: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pair(Term):
     first: Term
     second: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Fst(Term):
     pair: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Snd(Term):
     pair: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Require(Term):
     """Presupposition: find some witness of goal_type and bind it in body.
 
@@ -102,7 +107,7 @@ class Require(Term):
     body: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Let(Term):
     """Local definition with a type annotation: let binder : annot = value in body."""
 
@@ -112,48 +117,59 @@ class Let(Term):
     body: Term
 
 
+_NO_VARS: frozenset[str] = frozenset()
+
+
 def free_vars(term: Term) -> frozenset[str]:
     """The set of variable names occurring free in term.
 
     Constants never count as free variables; binders remove their name from
-    their scope only.
+    their scope only.  Each node computes its set once and keeps it in its
+    _fv slot, so shared subterms are never walked twice.
     """
-    return _free(term, None)
-
-
-def _free(term: Term, memo: dict | None) -> frozenset[str]:
-    # With a memo (keyed by node identity, owned by one caller), each node's
-    # set is computed once however often it is asked for.
-    if memo is not None:
-        found = memo.get(id(term))
-        if found is not None:
-            return found
+    try:
+        return term._fv
+    except AttributeError:
+        pass
     match term:
         case Var(name):
             result = frozenset((name,))
         case Const() | Universe():
-            result = frozenset()
+            result = _NO_VARS
         case App(fun, arg):
-            result = _free(fun, memo) | _free(arg, memo)
+            result = _union(free_vars(fun), free_vars(arg))
         case Pair(first, second):
-            result = _free(first, memo) | _free(second, memo)
+            result = _union(free_vars(first), free_vars(second))
         case Fst(pair) | Snd(pair):
-            result = _free(pair, memo)
+            result = free_vars(pair)
         case Pi(binder, domain, codomain) | Sigma(binder, domain, codomain):
-            result = _free(domain, memo) | (_free(codomain, memo) - {binder})
+            result = _union(free_vars(domain), _without(free_vars(codomain), binder))
         case Lam(binder, body):
-            result = _free(body, memo) - {binder}
+            result = _without(free_vars(body), binder)
         case Require(binder, goal_type, body):
-            result = _free(goal_type, memo) | (_free(body, memo) - {binder})
+            result = _union(free_vars(goal_type), _without(free_vars(body), binder))
         case Let(binder, annot, value, body):
-            result = (
-                _free(annot, memo) | _free(value, memo) | (_free(body, memo) - {binder})
+            result = _union(
+                _union(free_vars(annot), free_vars(value)),
+                _without(free_vars(body), binder),
             )
         case _:
             raise TypeError(f"not a term: {term!r}")
-    if memo is not None:
-        memo[id(term)] = result
+    object.__setattr__(term, "_fv", result)
     return result
+
+
+def _union(a: frozenset, b: frozenset) -> frozenset:
+    # Reuse an operand when the union equals it, so nested terms share sets.
+    if b <= a:
+        return a
+    if a <= b:
+        return b
+    return a | b
+
+
+def _without(names: frozenset, name: str) -> frozenset:
+    return names - {name} if name in names else names
 
 
 def fresh_name(base: str, avoid) -> str:
@@ -358,62 +374,56 @@ def format_term(term: Term) -> str:
     and pair types print as A -> B and A * B; both extend maximally to the
     right, as do all binders.
     """
-    # One free-variable memo per call (see _free): the dependency test at a
-    # Pi/Sigma reuses the sets computed for the codomains nested inside it.
-    return _format(term, {})
-
-
-def _format(term: Term, memo: dict) -> str:
     match term:
         case Lam(binder, body):
-            return f"\\{binder}. {_format(body, memo)}"
+            return f"\\{binder}. {format_term(body)}"
         case Require(binder, goal_type, body):
-            return f"require {binder} : {_format(goal_type, memo)} in {_format(body, memo)}"
+            return f"require {binder} : {format_term(goal_type)} in {format_term(body)}"
         case Let(binder, annot, value, body):
             return (
-                f"let {binder} : {_format(annot, memo)} = {_format(value, memo)}"
-                f" in {_format(body, memo)}"
+                f"let {binder} : {format_term(annot)} = {format_term(value)}"
+                f" in {format_term(body)}"
             )
         case Pi(binder, domain, codomain):
-            if binder in _free(codomain, memo):
-                return f"({binder} : {_format(domain, memo)}) -> {_format(codomain, memo)}"
-            return f"{_format_operand(domain, memo)} -> {_format(codomain, memo)}"
+            if binder in free_vars(codomain):
+                return f"({binder} : {format_term(domain)}) -> {format_term(codomain)}"
+            return f"{_format_operand(domain)} -> {format_term(codomain)}"
         case Sigma(binder, domain, codomain):
-            if binder in _free(codomain, memo):
-                return f"({binder} : {_format(domain, memo)}) * {_format(codomain, memo)}"
-            return f"{_format_operand(domain, memo)} * {_format(codomain, memo)}"
+            if binder in free_vars(codomain):
+                return f"({binder} : {format_term(domain)}) * {format_term(codomain)}"
+            return f"{_format_operand(domain)} * {format_term(codomain)}"
         case _:
-            return _format_app(term, memo)
+            return _format_app(term)
 
 
-def _format_operand(term: Term, memo: dict) -> str:
+def _format_operand(term: Term) -> str:
     # Left operand of -> or *: binder-like forms would swallow the operator.
     match term:
         case Pi() | Sigma() | Lam() | Require() | Let():
-            return f"({_format(term, memo)})"
+            return f"({format_term(term)})"
         case _:
-            return _format_app(term, memo)
+            return _format_app(term)
 
 
-def _format_app(term: Term, memo: dict) -> str:
+def _format_app(term: Term) -> str:
     match term:
         case App(fun, arg):
-            return f"{_format_app(fun, memo)} {_format_atom(arg, memo)}"
+            return f"{_format_app(fun)} {_format_atom(arg)}"
         case Fst(pair):
-            return f"fst {_format_atom(pair, memo)}"
+            return f"fst {_format_atom(pair)}"
         case Snd(pair):
-            return f"snd {_format_atom(pair, memo)}"
+            return f"snd {_format_atom(pair)}"
         case _:
-            return _format_atom(term, memo)
+            return _format_atom(term)
 
 
-def _format_atom(term: Term, memo: dict) -> str:
+def _format_atom(term: Term) -> str:
     match term:
         case Var(name) | Const(name):
             return name
         case Universe(level):
             return f"Set{level}"
         case Pair(first, second):
-            return f"<{_format(first, memo)}, {_format(second, memo)}>"
+            return f"<{format_term(first)}, {format_term(second)}>"
         case _:
-            return f"({_format(term, memo)})"
+            return f"({format_term(term)})"

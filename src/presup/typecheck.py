@@ -128,7 +128,10 @@ class UnresolvedPresupposition(TypeCheckError):
 
 class BudgetExceeded(TypeCheckError):
     def __init__(self, limit: int):
-        super().__init__(f"more than {limit} derivations; raise max_total_derivations")
+        super().__init__(
+            f"more than {limit} derivations; raise max_total_derivations"
+            " (--max-derivations N on the command line)"
+        )
         self.limit = limit
 
 

@@ -33,7 +33,6 @@ from presup import (
     alpha_eq,
     alpha_key,
     convertible,
-    free_vars,
     infer_all,
     normalize,
     solve,
@@ -424,12 +423,40 @@ def _pool_type(rng, pool):
 
 
 # ---------------------------------------------------------------------------
-# The recursive printer (oracle for format_term)
+# The recursive printer (oracle for format_term) and free-variable walker
+
+
+def reference_free_vars(term: Term) -> set:
+    """free_vars as a plain recursion that keeps nothing on the nodes."""
+    match term:
+        case Var(name):
+            return {name}
+        case Const() | Universe():
+            return set()
+        case App(fun, arg):
+            return reference_free_vars(fun) | reference_free_vars(arg)
+        case Pair(first, second):
+            return reference_free_vars(first) | reference_free_vars(second)
+        case Fst(pair) | Snd(pair):
+            return reference_free_vars(pair)
+        case Pi(binder, domain, scope) | Sigma(binder, domain, scope) | Require(
+            binder, domain, scope
+        ):
+            return reference_free_vars(domain) | (reference_free_vars(scope) - {binder})
+        case Lam(binder, body):
+            return reference_free_vars(body) - {binder}
+        case Let(binder, annot, value, body):
+            return (
+                reference_free_vars(annot)
+                | reference_free_vars(value)
+                | (reference_free_vars(body) - {binder})
+            )
+    raise TypeError(f"not a term: {term!r}")
 
 
 def reference_format(term: Term) -> str:
-    """format_term as a plain recursion that recomputes free_vars of every
-    codomain it meets (quadratic on right-nested types)."""
+    """format_term as a plain recursion that recomputes the free variables of
+    every codomain it meets (quadratic on right-nested types)."""
     match term:
         case Lam(binder, body):
             return f"\\{binder}. {reference_format(body)}"
@@ -442,7 +469,7 @@ def reference_format(term: Term) -> str:
             )
         case Pi(binder, domain, codomain) | Sigma(binder, domain, codomain):
             arrow = "->" if isinstance(term, Pi) else "*"
-            if binder in free_vars(codomain):
+            if binder in reference_free_vars(codomain):
                 return f"({binder} : {reference_format(domain)}) {arrow} {reference_format(codomain)}"
             return f"{_reference_operand(domain)} {arrow} {reference_format(codomain)}"
         case _:

@@ -247,6 +247,7 @@ def _collect_witnesses(node):
         ("--depth", "-3", "argument --depth: must be at least 0, got -3"),
         ("--step-budget", "-1", "argument --step-budget: must be at least 0, got -1"),
         ("--max", "-1", "argument --max: must be at least 0, got -1"),
+        ("--max-derivations", "0", "argument --max-derivations: must be at least 1, got 0"),
     ],
 )
 def test_bound_flags_reject_out_of_range_values(pctx_file, capsys, flag, value, message):
@@ -322,3 +323,48 @@ def test_check_groups_distinct_types_in_first_seen_order(tmp_path):
     assert code == 0
     # Witnesses come newest hypothesis first, so b's group precedes a's.
     assert out == "Man b, 2 derivations\nMan a, 2 derivations\n"
+
+
+# A reserved word as a name is reported like any other malformed line.
+BAD_NAMES = ("1x", "fst", "snd", "require", "let", "in", "Set", "Set0", "Set12")
+
+
+@pytest.mark.parametrize("name", BAD_NAMES)
+@pytest.mark.parametrize("option", ["--context", "--signature"])
+def test_reserved_word_entry_name_is_a_syntax_error(tmp_path, option, name):
+    path = tmp_path / "entries"
+    path.write_text(f"{name} : E\n", encoding="utf-8")
+    code, out, err = run(["solve", option, str(path), "E"])
+    assert (code, out) == (2, "")
+    assert err == f"syntax error: at position 0: expected 'name : type' (got '{name} : E')\n"
+
+
+def test_repl_ctx_add_rejects_reserved_word():
+    script = ":ctx add fst : E\n:ctx add fst' : E\n:ctx\n:quit\n"
+    code, out, err = run(["repl"], stdin=script)
+    assert code == 0
+    assert "> error: at position 0: expected 'name : type' (got 'fst : E')\n" in out
+    assert out.endswith("> added fst' : E\n> fst' : E\n> ")
+
+
+CHAIN_X6 = "A man walked in. He sat down. " * 6
+
+
+def test_budget_message_names_the_flag():
+    code, out, err = run(["elaborate", "--max", "1", "--discourse", CHAIN_X6])
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: more than 256 derivations; raise max_total_derivations"
+        " (--max-derivations N on the command line)\n"
+    )
+
+
+def test_max_derivations_lets_the_x6_chain_elaborate():
+    code, out, err = run(
+        ["elaborate", "--max", "1", "--max-derivations", "720", "--discourse", CHAIN_X6]
+    )
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 1 and "require" not in out
+    code, out, err = run(["elaborate", "--max-derivations", "719", "--discourse", CHAIN_X6])
+    assert code == 1 and "more than 719 derivations" in err
+    assert run(["check", "--max-derivations", "1", "E"]) == (0, "Set0, 1 derivation\n", "")

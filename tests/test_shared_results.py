@@ -1,0 +1,184 @@
+"""Results kept on the nodes: validity marks, elaborations and free-variable
+sets.  Each is computed once per distinct node, can never vouch for a node it
+was not computed on, and stays invisible to ==, hash and repr."""
+
+import dataclasses
+import importlib
+from collections import Counter
+
+import pytest
+
+import presup.derivations as D
+from presup import (
+    App,
+    Const,
+    Context,
+    Derivation,
+    InvalidDerivation,
+    Judgment,
+    Term,
+    Var,
+    elaborate,
+    free_vars,
+    infer_all,
+    interpret,
+    parse_discourse,
+    parse_term,
+    syntax,
+    validate,
+)
+
+# The package's elaborate function shadows its module of the same name.
+E = importlib.import_module("presup.elaborate")
+
+CHAIN_X5 = "A man walked in. He sat down. " * 5
+
+
+def _message(derivation) -> str:
+    with pytest.raises(InvalidDerivation) as caught:
+        validate(derivation)
+    return str(caught.value)
+
+
+@pytest.fixture
+def checked(sig, pctx):
+    """A validated application node, Man (fst p), over validated premises."""
+    (derivation,) = infer_all(sig, pctx, parse_term("Man (fst p)", sig.names))
+    assert derivation.rule == D.PI_E
+    validate(derivation)
+    return derivation
+
+
+def _retyped(derivation, classifier) -> Judgment:
+    j = derivation.conclusion
+    return Judgment(j.sig, j.ctx, j.subject, classifier)
+
+
+def test_tampered_node_over_validated_premises_is_rejected(checked):
+    assert all(premise._valid for premise in checked.premises)
+    tampered = Derivation(checked.rule, _retyped(checked, Const("E")), checked.premises)
+    assert _message(tampered) == (
+        "PiE node for Man (fst p): classifier is not the instantiated codomain"
+    )
+
+
+def test_failed_node_stays_unmarked_and_fails_again(sig, checked):
+    bogus = Derivation(D.HYP, Judgment(sig, Context(), Var("p"), Const("E")))
+    expected = "Hyp node for p: classifier is not the declared hypothesis type"
+    assert _message(bogus) == expected
+    assert not bogus._valid
+    assert _message(bogus) == expected
+    # A node over the failed one fails with it, premise errors first.
+    above = Derivation(D.PI_E, checked.conclusion, (checked.premises[0], bogus))
+    assert _message(above) == expected
+    assert not above._valid
+
+
+def test_replace_of_a_validated_node_is_unmarked(sig, checked):
+    copy = dataclasses.replace(checked)
+    assert copy == checked and not copy._valid and copy._elaborated is None
+    retyped = dataclasses.replace(checked, conclusion=_retyped(checked, Const("E")))
+    assert _message(retyped) == (
+        "PiE node for Man (fst p): classifier is not the instantiated codomain"
+    )
+    bogus = Derivation(D.HYP, Judgment(sig, checked.conclusion.ctx, Var("p"), Const("E")))
+    swapped = dataclasses.replace(checked, premises=(checked.premises[0], bogus))
+    assert _message(swapped) == "Hyp node for p: classifier is not the declared hypothesis type"
+
+
+@pytest.mark.parametrize("mark, value", [("_valid", True), ("_elaborated", Const("E"))])
+def test_constructor_cannot_set_a_mark(checked, mark, value):
+    with pytest.raises(TypeError):
+        Derivation(checked.rule, checked.conclusion, checked.premises, **{mark: value})
+
+
+def _distinct(derivations) -> set:
+    seen, stack = {}, list(derivations)
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node.premises)
+    return set(seen)
+
+
+def _elaborated_nodes(derivations) -> set:
+    # Elaboration follows every premise except a Require's witness premise.
+    seen, stack = {}, list(derivations)
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node.premises[1:] if node.rule == D.REQUIRE else node.premises)
+    return set(seen)
+
+
+def test_each_distinct_node_is_checked_and_elaborated_once(sig, monkeypatch):
+    meaning = interpret(parse_discourse(CHAIN_X5))
+    checks, bodies = Counter(), Counter()
+    for rule, checker in D._CHECKERS.items():
+        def counted(d, checker=checker):
+            checks[id(d)] += 1
+            checker(d)
+
+        monkeypatch.setitem(D._CHECKERS, rule, counted)
+    elab_node = E._elab_node
+
+    def counted_body(d):
+        bodies[id(d)] += 1
+        return elab_node(d)
+
+    monkeypatch.setattr(E, "_elab_node", counted_body)
+
+    derivations = infer_all(sig, Context(), meaning)
+    assert len(derivations) == 120
+    for derivation in derivations:
+        validate(derivation)
+    assert set(checks) == _distinct(derivations)
+    assert sum(checks.values()) == len(checks) == 785
+    terms = [elaborate(derivation) for derivation in derivations]
+    assert sum(checks.values()) == 785
+    assert set(bodies) == _elaborated_nodes(derivations)
+    assert max(bodies.values()) == 1
+    assert [elaborate(derivation) for derivation in derivations] == terms
+
+    # A fresh infer_all builds fresh nodes, which are checked in full again.
+    checks.clear()
+    again = infer_all(sig, Context(), meaning)
+    assert not _distinct(derivations) & _distinct(again)
+    for derivation in again:
+        validate(derivation)
+    assert sum(checks.values()) == len(checks) == 785
+
+
+def _term_classes():
+    classes = [cls for cls in Term.__subclasses__() if getattr(syntax, cls.__name__, None) is cls]
+    assert len(classes) == 12
+    return classes
+
+
+def test_nodes_have_no_instance_dict(checked):
+    values = {"str": "x", "int": 0, "Term": Var("x")}
+    for cls in _term_classes():
+        term = cls(*[values[f.type] for f in dataclasses.fields(cls)])
+        free_vars(term)
+        assert not hasattr(term, "__dict__"), cls
+    elaborate(checked)
+    for node in (checked.conclusion, checked):
+        assert not hasattr(node, "__dict__"), type(node)
+
+
+def test_kept_results_stay_out_of_eq_hash_and_repr(checked):
+    term = App(Const("Man"), Var("x"))
+    fresh = App(Const("Man"), Var("x"))
+    free_vars(term)
+    assert term._fv == frozenset({"x"})
+    assert (term, hash(term), repr(term)) == (fresh, hash(fresh), repr(fresh))
+    assert "_fv" not in repr(term)
+
+    elaborate(checked)
+    assert checked._valid and checked._elaborated is not None
+    copy = Derivation(checked.rule, checked.conclusion, checked.premises, checked.witness)
+    assert not copy._valid and copy._elaborated is None
+    assert (checked, hash(checked), repr(checked)) == (copy, hash(copy), repr(copy))
+    assert "_valid" not in repr(checked) and "_elaborated" not in repr(checked)

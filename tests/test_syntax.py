@@ -6,6 +6,7 @@ from presup import (
     Const,
     Fst,
     Lam,
+    Let,
     Pair,
     Pi,
     Require,
@@ -24,7 +25,7 @@ from presup import (
     substitute,
 )
 
-from helpers import random_syntactic_term, reference_format
+from helpers import random_syntactic_term, reference_format, reference_free_vars
 
 PAPER_DISCOURSES = (
     "A man walked in. He sat down.",
@@ -110,6 +111,30 @@ def test_free_vars_of_substitution():
         u = random_syntactic_term(rng, 2)
         result = free_vars(substitute(t, "x", u))
         assert result <= (free_vars(t) - {"x"}) | free_vars(u)
+
+
+def test_free_vars_matches_reference_walker_before_and_after_sharing():
+    rng = random.Random(14)
+    terms = [random_syntactic_term(rng, rng.randrange(1, 6)) for _ in range(200)]
+    for term in terms:
+        assert free_vars(term) == reference_free_vars(term)
+        assert free_vars(term) is free_vars(term)
+    # New terms over the already-computed ones: every cached set is reused
+    # under binders that do and do not capture it.
+    for a, b in zip(terms, reversed(terms)):
+        for shared in (
+            App(a, b),
+            Pair(b, a),
+            Pi("x", a, b),
+            Sigma("y", b, Lam("x", a)),
+            Require("z", a, App(a, b)),
+            Let("w", a, b, Fst(a)),
+        ):
+            assert free_vars(shared) == reference_free_vars(shared)
+    # A union or difference equal to one operand is that operand's set.
+    for term in terms:
+        assert free_vars(App(term, Const("A"))) is free_vars(term)
+        assert free_vars(Lam("unused", term)) is free_vars(term)
 
 
 def test_alpha_eq_renamed_identity():
