@@ -27,6 +27,7 @@ from .syntax import (
     Term,
     Universe,
     Var,
+    _shape,
     alpha_eq,
     substitute,
 )
@@ -121,14 +122,6 @@ def _norm(term: Term, budget: _Budget) -> Term:
     match term:
         case Var() | Const() | Universe():
             return term
-        case Pi(binder, domain, codomain):
-            return Pi(binder, _norm(domain, budget), _norm(codomain, budget))
-        case Sigma(binder, domain, codomain):
-            return Sigma(binder, _norm(domain, budget), _norm(codomain, budget))
-        case Lam(binder, body):
-            return Lam(binder, _norm(body, budget))
-        case Pair(first, second):
-            return Pair(_norm(first, budget), _norm(second, budget))
         case App(fun, arg):
             fun = _norm(fun, budget)
             arg = _norm(arg, budget)
@@ -151,9 +144,14 @@ def _norm(term: Term, budget: _Budget) -> Term:
         case Let(binder, _, value, body):
             budget.spend()
             return _norm(substitute(body, binder, value), budget)
-        case Require(binder, goal_type, body):
-            return Require(binder, _norm(goal_type, budget), _norm(body, budget))
-    raise TypeError(f"not a term: {term!r}")
+    # Congruence: every other form normalizes its fields in place.
+    _, fields, scope = _shape(term)
+    args = []
+    for field in fields:
+        args.append(_norm(getattr(term, field), budget))
+    if scope is None:
+        return type(term)(*args)
+    return type(term)(term.binder, *args, _norm(getattr(term, scope), budget))
 
 
 def convertible(a: Term, b: Term, step_budget: int = DEFAULT_STEP_BUDGET) -> bool:

@@ -117,6 +117,34 @@ class Let(Term):
     body: Term
 
 
+# The nine composite constructors, with the tag alpha_key gives each, the
+# term fields outside any binder's scope, and the field a binding form's
+# binder scopes over (None for the rest).  Fields are in constructor order:
+# a binding form's first field is its binder, a name, and its scope is its
+# last field.  The term walkers below and evaluator.normalize's congruence
+# rule read the binding structure from here; Var, Const and Universe, the
+# leaves, are each walker's explicit cases.
+_SHAPES = {
+    Pi: ("pi", ("domain",), "codomain"),
+    Sigma: ("sigma", ("domain",), "codomain"),
+    Lam: ("lam", (), "body"),
+    Require: ("require", ("goal_type",), "body"),
+    Let: ("let", ("annot", "value"), "body"),
+    App: ("app", ("fun", "arg"), None),
+    Pair: ("pair", ("first", "second"), None),
+    Fst: ("fst", ("pair",), None),
+    Snd: ("snd", ("pair",), None),
+}
+
+
+def _shape(term) -> tuple:
+    """The table row of a composite term; TypeError on anything else."""
+    shape = _SHAPES.get(type(term))
+    if shape is None:
+        raise TypeError(f"not a term: {term!r}")
+    return shape
+
+
 _NO_VARS: frozenset[str] = frozenset()
 
 
@@ -136,25 +164,15 @@ def free_vars(term: Term) -> frozenset[str]:
             result = frozenset((name,))
         case Const() | Universe():
             result = _NO_VARS
-        case App(fun, arg):
-            result = _union(free_vars(fun), free_vars(arg))
-        case Pair(first, second):
-            result = _union(free_vars(first), free_vars(second))
-        case Fst(pair) | Snd(pair):
-            result = free_vars(pair)
-        case Pi(binder, domain, codomain) | Sigma(binder, domain, codomain):
-            result = _union(free_vars(domain), _without(free_vars(codomain), binder))
-        case Lam(binder, body):
-            result = _without(free_vars(body), binder)
-        case Require(binder, goal_type, body):
-            result = _union(free_vars(goal_type), _without(free_vars(body), binder))
-        case Let(binder, annot, value, body):
-            result = _union(
-                _union(free_vars(annot), free_vars(value)),
-                _without(free_vars(body), binder),
-            )
         case _:
-            raise TypeError(f"not a term: {term!r}")
+            _, fields, scope = _shape(term)
+            result = None
+            for field in fields:
+                names = free_vars(getattr(term, field))
+                result = names if result is None else _union(result, names)
+            if scope is not None:
+                names = _without(free_vars(getattr(term, scope)), term.binder)
+                result = names if result is None else _union(result, names)
     object.__setattr__(term, "_fv", result)
     return result
 
@@ -191,47 +209,20 @@ def substitute(body: Term, var: str, value: Term) -> Term:
             return value if name == var else body
         case Const() | Universe():
             return body
-        case App(fun, arg):
-            return App(substitute(fun, var, value), substitute(arg, var, value))
-        case Pair(first, second):
-            return Pair(substitute(first, var, value), substitute(second, var, value))
-        case Fst(pair):
-            return Fst(substitute(pair, var, value))
-        case Snd(pair):
-            return Snd(substitute(pair, var, value))
-        case Pi(binder, domain, codomain):
-            binder, codomain = _subst_under(binder, codomain, var, value)
-            return Pi(binder, substitute(domain, var, value), codomain)
-        case Sigma(binder, domain, codomain):
-            binder, codomain = _subst_under(binder, codomain, var, value)
-            return Sigma(binder, substitute(domain, var, value), codomain)
-        case Lam(binder, lam_body):
-            binder, lam_body = _subst_under(binder, lam_body, var, value)
-            return Lam(binder, lam_body)
-        case Require(binder, goal_type, req_body):
-            binder, req_body = _subst_under(binder, req_body, var, value)
-            return Require(binder, substitute(goal_type, var, value), req_body)
-        case Let(binder, annot, defn, let_body):
-            binder, let_body = _subst_under(binder, let_body, var, value)
-            return Let(
-                binder,
-                substitute(annot, var, value),
-                substitute(defn, var, value),
-                let_body,
-            )
-    raise TypeError(f"not a term: {body!r}")
-
-
-def _subst_under(binder: str, scope: Term, var: str, value: Term):
-    """Substitute in the scope of a binder, renaming the binder if it would
-    capture a free variable of value."""
-    if binder == var:
-        return binder, scope
-    if binder in free_vars(value) and var in free_vars(scope):
-        renamed = fresh_name(binder, free_vars(value) | free_vars(scope) | {var})
-        scope = substitute(scope, binder, Var(renamed))
-        binder = renamed
-    return binder, substitute(scope, var, value)
+    _, fields, scope = _shape(body)
+    args = []
+    for field in fields:
+        args.append(substitute(getattr(body, field), var, value))
+    if scope is None:
+        return type(body)(*args)
+    binder, inner = body.binder, getattr(body, scope)
+    if binder != var:
+        if binder in free_vars(value) and var in free_vars(inner):
+            renamed = fresh_name(binder, free_vars(value) | free_vars(inner))
+            inner = substitute(inner, binder, Var(renamed))
+            binder = renamed
+        inner = substitute(inner, var, value)
+    return type(body)(binder, *args, inner)
 
 
 def alpha_key(term: Term):
@@ -253,39 +244,13 @@ def _key(term: Term, bound: dict, depth: int):
             return ("const", name)
         case Universe(level):
             return ("set", level)
-        case App(fun, arg):
-            return ("app", _key(fun, bound, depth), _key(arg, bound, depth))
-        case Pair(first, second):
-            return ("pair", _key(first, bound, depth), _key(second, bound, depth))
-        case Fst(pair):
-            return ("fst", _key(pair, bound, depth))
-        case Snd(pair):
-            return ("snd", _key(pair, bound, depth))
-        case Pi(binder, domain, codomain):
-            inner = {**bound, binder: depth}
-            return ("pi", _key(domain, bound, depth), _key(codomain, inner, depth + 1))
-        case Sigma(binder, domain, codomain):
-            inner = {**bound, binder: depth}
-            return ("sigma", _key(domain, bound, depth), _key(codomain, inner, depth + 1))
-        case Lam(binder, body):
-            inner = {**bound, binder: depth}
-            return ("lam", _key(body, inner, depth + 1))
-        case Require(binder, goal_type, body):
-            inner = {**bound, binder: depth}
-            return (
-                "require",
-                _key(goal_type, bound, depth),
-                _key(body, inner, depth + 1),
-            )
-        case Let(binder, annot, value, body):
-            inner = {**bound, binder: depth}
-            return (
-                "let",
-                _key(annot, bound, depth),
-                _key(value, bound, depth),
-                _key(body, inner, depth + 1),
-            )
-    raise TypeError(f"not a term: {term!r}")
+    tag, fields, scope = _shape(term)
+    key = [tag]
+    for field in fields:
+        key.append(_key(getattr(term, field), bound, depth))
+    if scope is not None:
+        key.append(_key(getattr(term, scope), {**bound, term.binder: depth}, depth + 1))
+    return tuple(key)
 
 
 def alpha_eq(a: Term, b: Term) -> bool:
@@ -319,23 +284,11 @@ def contains_require(term: Term) -> bool:
             return False
         case Require():
             return True
-        case App(fun, arg):
-            return contains_require(fun) or contains_require(arg)
-        case Pair(first, second):
-            return contains_require(first) or contains_require(second)
-        case Fst(pair) | Snd(pair):
-            return contains_require(pair)
-        case Pi(_, domain, codomain) | Sigma(_, domain, codomain):
-            return contains_require(domain) or contains_require(codomain)
-        case Lam(_, body):
-            return contains_require(body)
-        case Let(_, annot, value, body):
-            return (
-                contains_require(annot)
-                or contains_require(value)
-                or contains_require(body)
-            )
-    raise TypeError(f"not a term: {term!r}")
+    _, fields, scope = _shape(term)
+    for field in fields:
+        if contains_require(getattr(term, field)):
+            return True
+    return scope is not None and contains_require(getattr(term, scope))
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,10 @@
 Checking is bidirectional: introduction forms (lambdas, pairs) are checked
 against a type and everything else infers.  A term containing presupposition
 nodes has one derivation per way the solver can discharge them, so the main
-entry points return lists; results are deduplicated by the witnesses chosen
-and the type derived, in the solver's deterministic order.
+entry points return lists, in the solver's deterministic order.  No two
+readings coincide: only a presupposition branches, the solver returns
+alpha-distinct witnesses, and a witness is a projection spine that adds no
+presupposition of its own, so distinct readings choose distinct witnesses.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ from .syntax import (
     Universe,
     Var,
     alpha_eq,
-    alpha_key,
     format_term,
     free_vars,
     fresh_name,
@@ -185,8 +186,7 @@ def infer_all(sig: Signature, ctx: Context, term: Term, cfg: CheckConfig | None 
     Raises rather than returning an empty list; in particular
     UnresolvedPresupposition when a goal has no witness in scope.
     """
-    cfg = cfg or DEFAULT_CONFIG
-    return _dedup(_infer(sig, ctx, term, cfg), cfg)
+    return _infer(sig, ctx, term, cfg or DEFAULT_CONFIG)
 
 
 @with_spine_tables
@@ -200,33 +200,7 @@ def check_all(
     computation, recording a Conv node when the types are not already
     alpha-equal.
     """
-    cfg = cfg or DEFAULT_CONFIG
-    return _dedup(_check(sig, ctx, term, expected, cfg), cfg)
-
-
-def _dedup(derivations: list, cfg: CheckConfig) -> list:
-    out = []
-    seen = set()
-    trails = {}
-    for derivation in derivations:
-        key = (_witness_trail(derivation, trails), alpha_key(derivation.conclusion.classifier))
-        if key not in seen:
-            seen.add(key)
-            out.append(derivation)
-    return out
-
-
-def _witness_trail(node: Derivation, trails: dict) -> tuple:
-    """The alpha keys of the Require witnesses in pre-order.  Readings share
-    subtrees, so each node's trail is kept in `trails` (keyed by identity,
-    owned by one _dedup call) and a shared subtree is walked once."""
-    trail = trails.get(id(node))
-    if trail is None:
-        trail = (alpha_key(node.witness),) if node.rule == REQUIRE else ()
-        for premise in node.premises:
-            trail += _witness_trail(premise, trails)
-        trails[id(node)] = trail
-    return trail
+    return _check(sig, ctx, term, expected, cfg or DEFAULT_CONFIG)
 
 
 def _guard(results: list, cfg: CheckConfig) -> None:

@@ -3,7 +3,9 @@
 The oracles are deliberately naive and separate from the implementation paths
 they check: normalization is compared against a leftmost-outermost rewriter
 run to fixpoint, and the witness solver against a brute-force enumeration of
-every projection spine filtered by the typechecker.
+every projection spine filtered by the typechecker.  The reference_* term
+walkers spell out one match case per constructor, as the kernel's walkers
+did before they read the binding structure from syntax's shape table.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from presup import (
     Term,
     TypeCheckError,
     Universe,
+    NonTermination,
     Var,
     alpha_eq,
     alpha_key,
@@ -423,7 +426,8 @@ def _pool_type(rng, pool):
 
 
 # ---------------------------------------------------------------------------
-# The recursive printer (oracle for format_term) and free-variable walker
+# Per-constructor term walkers (oracles for the table-driven ones) and the
+# recursive printer (oracle for format_term)
 
 
 def reference_free_vars(term: Term) -> set:
@@ -452,6 +456,190 @@ def reference_free_vars(term: Term) -> set:
                 | (reference_free_vars(body) - {binder})
             )
     raise TypeError(f"not a term: {term!r}")
+
+
+def reference_substitute(body: Term, var: str, value: Term) -> Term:
+    """substitute with one case per constructor, renaming a capturing binder
+    to the first primed name free in neither value nor the scope."""
+    match body:
+        case Var(name):
+            return value if name == var else body
+        case Const() | Universe():
+            return body
+        case App(fun, arg):
+            return App(reference_substitute(fun, var, value), reference_substitute(arg, var, value))
+        case Pair(first, second):
+            return Pair(
+                reference_substitute(first, var, value), reference_substitute(second, var, value)
+            )
+        case Fst(pair):
+            return Fst(reference_substitute(pair, var, value))
+        case Snd(pair):
+            return Snd(reference_substitute(pair, var, value))
+        case Pi(binder, domain, codomain):
+            binder, codomain = _reference_under(binder, codomain, var, value)
+            return Pi(binder, reference_substitute(domain, var, value), codomain)
+        case Sigma(binder, domain, codomain):
+            binder, codomain = _reference_under(binder, codomain, var, value)
+            return Sigma(binder, reference_substitute(domain, var, value), codomain)
+        case Lam(binder, lam_body):
+            return Lam(*_reference_under(binder, lam_body, var, value))
+        case Require(binder, goal_type, req_body):
+            binder, req_body = _reference_under(binder, req_body, var, value)
+            return Require(binder, reference_substitute(goal_type, var, value), req_body)
+        case Let(binder, annot, defn, let_body):
+            binder, let_body = _reference_under(binder, let_body, var, value)
+            return Let(
+                binder,
+                reference_substitute(annot, var, value),
+                reference_substitute(defn, var, value),
+                let_body,
+            )
+    raise TypeError(f"not a term: {body!r}")
+
+
+def _reference_under(binder: str, scope: Term, var: str, value: Term):
+    if binder == var:
+        return binder, scope
+    if binder in reference_free_vars(value) and var in reference_free_vars(scope):
+        avoid = reference_free_vars(value) | reference_free_vars(scope) | {var}
+        renamed = binder
+        while renamed in avoid:
+            renamed += "'"
+        scope = reference_substitute(scope, binder, Var(renamed))
+        binder = renamed
+    return binder, reference_substitute(scope, var, value)
+
+
+def reference_alpha_key(term: Term, bound=None, depth: int = 0):
+    """alpha_key with one case per constructor: bound variables become their
+    binder depth."""
+    bound = {} if bound is None else bound
+    match term:
+        case Var(name):
+            return ("bvar", bound[name]) if name in bound else ("var", name)
+        case Const(name):
+            return ("const", name)
+        case Universe(level):
+            return ("set", level)
+        case App(fun, arg):
+            return ("app", reference_alpha_key(fun, bound, depth), reference_alpha_key(arg, bound, depth))
+        case Pair(first, second):
+            return (
+                "pair",
+                reference_alpha_key(first, bound, depth),
+                reference_alpha_key(second, bound, depth),
+            )
+        case Fst(pair):
+            return ("fst", reference_alpha_key(pair, bound, depth))
+        case Snd(pair):
+            return ("snd", reference_alpha_key(pair, bound, depth))
+        case Lam(binder, body):
+            return ("lam", reference_alpha_key(body, {**bound, binder: depth}, depth + 1))
+        case Pi(binder, domain, codomain):
+            return (
+                "pi",
+                reference_alpha_key(domain, bound, depth),
+                reference_alpha_key(codomain, {**bound, binder: depth}, depth + 1),
+            )
+        case Sigma(binder, domain, codomain):
+            return (
+                "sigma",
+                reference_alpha_key(domain, bound, depth),
+                reference_alpha_key(codomain, {**bound, binder: depth}, depth + 1),
+            )
+        case Require(binder, goal_type, body):
+            return (
+                "require",
+                reference_alpha_key(goal_type, bound, depth),
+                reference_alpha_key(body, {**bound, binder: depth}, depth + 1),
+            )
+        case Let(binder, annot, value, body):
+            return (
+                "let",
+                reference_alpha_key(annot, bound, depth),
+                reference_alpha_key(value, bound, depth),
+                reference_alpha_key(body, {**bound, binder: depth}, depth + 1),
+            )
+    raise TypeError(f"not a term: {term!r}")
+
+
+def reference_contains_require(term: Term) -> bool:
+    """contains_require with one case per constructor."""
+    match term:
+        case Var() | Const() | Universe():
+            return False
+        case Require():
+            return True
+        case App(fun, arg):
+            return reference_contains_require(fun) or reference_contains_require(arg)
+        case Pair(first, second):
+            return reference_contains_require(first) or reference_contains_require(second)
+        case Fst(pair) | Snd(pair):
+            return reference_contains_require(pair)
+        case Pi(_, domain, codomain) | Sigma(_, domain, codomain):
+            return reference_contains_require(domain) or reference_contains_require(codomain)
+        case Lam(_, body):
+            return reference_contains_require(body)
+        case Let(_, annot, value, body):
+            return (
+                reference_contains_require(annot)
+                or reference_contains_require(value)
+                or reference_contains_require(body)
+            )
+    raise TypeError(f"not a term: {term!r}")
+
+
+def reference_normalize(term: Term, step_budget: int = 100_000) -> Term:
+    """normalize with one congruence case per constructor, spending one step
+    per beta, projection or let reduction and raising NonTermination when the
+    budget runs out."""
+    remaining = [step_budget]
+
+    def spend():
+        if remaining[0] <= 0:
+            raise NonTermination("evaluation step budget exceeded")
+        remaining[0] -= 1
+
+    def norm(term):
+        match term:
+            case Var() | Const() | Universe():
+                return term
+            case Pi(binder, domain, codomain):
+                return Pi(binder, norm(domain), norm(codomain))
+            case Sigma(binder, domain, codomain):
+                return Sigma(binder, norm(domain), norm(codomain))
+            case Lam(binder, body):
+                return Lam(binder, norm(body))
+            case Pair(first, second):
+                return Pair(norm(first), norm(second))
+            case App(fun, arg):
+                fun = norm(fun)
+                arg = norm(arg)
+                if isinstance(fun, Lam):
+                    spend()
+                    return norm(reference_substitute(fun.body, fun.binder, arg))
+                return App(fun, arg)
+            case Fst(pair):
+                pair = norm(pair)
+                if isinstance(pair, Pair):
+                    spend()
+                    return pair.first
+                return Fst(pair)
+            case Snd(pair):
+                pair = norm(pair)
+                if isinstance(pair, Pair):
+                    spend()
+                    return pair.second
+                return Snd(pair)
+            case Let(binder, _, value, body):
+                spend()
+                return norm(reference_substitute(body, binder, value))
+            case Require(binder, goal_type, body):
+                return Require(binder, norm(goal_type), norm(body))
+        raise TypeError(f"not a term: {term!r}")
+
+    return norm(term)
 
 
 def reference_format(term: Term) -> str:

@@ -277,6 +277,18 @@ def test_deeply_nested_input_is_a_one_line_error():
     assert err == "error: input nested too deeply (Python recursion limit reached)\n"
 
 
+def test_three_hundred_sentences_elaborate_in_process():
+    # Every term walker recurses once per nesting level with no extra frame
+    # (no comprehension, generator or lambda in the recursion), which keeps
+    # 300 sentences under the default recursion limit even inside pytest.
+    code, out, err = run(
+        ["elaborate", "--discourse", "A man walked in. " * 300 + "He sat down.", "--max", "1"]
+    )
+    assert code == 0
+    assert err == ""
+    assert out.count("\n") == 1
+
+
 def test_python_dash_m_runs_the_cli(pctx_file):
     package_root = str(Path(presup.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": package_root}

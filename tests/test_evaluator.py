@@ -26,7 +26,13 @@ from presup import (
 )
 from presup.derivations import CheckConfig
 
-from helpers import leftmost_outermost, random_context, typed_pool
+from helpers import (
+    leftmost_outermost,
+    random_context,
+    random_syntactic_term,
+    reference_normalize,
+    typed_pool,
+)
 
 
 def test_eval_projection_of_pair():
@@ -190,3 +196,24 @@ def test_convertible_substitution_vs_pair_projection():
         direct = substitute(body, "x", first)
         projected = substitute(body, "x", Fst(Pair(first, second)))
         assert convertible(direct, projected)
+
+
+def _outcome(normalizer, term, budget):
+    try:
+        return normalizer(term, budget)
+    except NonTermination:
+        return NonTermination
+
+
+def test_normalize_equals_reference_walker_step_for_step():
+    # Same normal forms, binder names included, and the same budgets run out.
+    rng = random.Random(25)
+    stopped = reduced = 0
+    for _ in range(200):
+        term = random_syntactic_term(rng, rng.randrange(1, 6))
+        for budget in (0, 1, 2, 3, 5, 12):
+            result = _outcome(normalize, term, budget)
+            assert result == _outcome(reference_normalize, term, budget)
+            stopped += result is NonTermination
+        reduced += _outcome(normalize, term, 0) is NonTermination
+    assert stopped > 60 and reduced > 40

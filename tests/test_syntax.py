@@ -1,6 +1,8 @@
 import random
 from dataclasses import fields
 
+import pytest
+
 from presup import (
     App,
     Const,
@@ -13,19 +15,30 @@ from presup import (
     Sigma,
     Snd,
     Term,
+    Universe,
     Var,
     alpha_eq,
     alpha_key,
+    contains_require,
     format_term,
     free_vars,
     interpret,
     nested_proj,
     parse_discourse,
     parse_term,
+    normalize,
     substitute,
 )
+from presup import syntax
 
-from helpers import random_syntactic_term, reference_format, reference_free_vars
+from helpers import (
+    random_syntactic_term,
+    reference_alpha_key,
+    reference_contains_require,
+    reference_format,
+    reference_free_vars,
+    reference_substitute,
+)
 
 PAPER_DISCOURSES = (
     "A man walked in. He sat down.",
@@ -243,3 +256,98 @@ def test_alpha_eq_agrees_with_alpha_key_on_seeded_pairs():
         assert alpha_eq(b, a) == expected
         agreed[expected] += 1
     assert agreed[True] > 500 and agreed[False] > 100
+
+
+def _concrete_constructors():
+    """Every Term subclass that presup.syntax defines, however deep (the
+    slotted dataclass, not the class it replaced)."""
+    found, stack = set(), [Term]
+    while stack:
+        for cls in stack.pop().__subclasses__():
+            stack.append(cls)
+            if getattr(syntax, cls.__name__, None) is cls:
+                found.add(cls)
+    return found
+
+
+def test_shape_table_declares_every_constructor_once():
+    leaves = {Var, Const, Universe}
+    assert not leaves & syntax._SHAPES.keys()
+    assert _concrete_constructors() == leaves | syntax._SHAPES.keys()
+    for cls, (tag, outer, scope) in syntax._SHAPES.items():
+        declared = {f.name: f.type for f in fields(cls)}
+        if scope is None:
+            assert list(declared) == list(outer)
+        else:
+            # The binder comes first, is a name, and scopes over the last field.
+            assert list(declared) == ["binder", *outer, scope]
+            assert declared.pop("binder") in (str, "str")
+        assert all(kind in (Term, "Term") for kind in declared.values())
+    tags = [tag for tag, _, _ in syntax._SHAPES.values()]
+    assert len(set(tags)) == len(tags) and not {"var", "bvar", "const", "set"} & set(tags)
+
+
+class _Undeclared(Term):
+    __slots__ = ()
+
+
+@pytest.mark.parametrize("non_term", [object(), "x", None, _Undeclared()])
+def test_walkers_reject_non_terms(non_term):
+    for walk in (
+        free_vars,
+        alpha_key,
+        contains_require,
+        normalize,
+        lambda t: substitute(t, "x", Var("y")),
+        lambda t: substitute(Lam("y", t), "x", Var("y")),
+    ):
+        with pytest.raises(TypeError, match="not a term"):
+            walk(non_term)
+
+
+def _values(rng):
+    # Variables named like the generator's binders make capture likely, and
+    # primed ones make the first renaming candidate taken.
+    return [Var(name) for name in ("x", "y", "z", "w", "x'", "y'")] + [
+        App(Var("y"), Var("z")),
+        random_syntactic_term(rng, 2),
+    ]
+
+
+def test_substitute_and_contains_require_equal_reference_walkers():
+    rng = random.Random(15)
+    renamed = 0
+    for _ in range(200):
+        term = random_syntactic_term(rng, rng.randrange(1, 6))
+        assert contains_require(term) == reference_contains_require(term)
+        for var in ("x", "y"):
+            for value in _values(rng):
+                result = substitute(term, var, value)
+                assert result == reference_substitute(term, var, value)
+                renamed += "'" in format_term(result)
+                # Again into the result, whose free primed names (from the
+                # primed values) a renamed binder must avoid.
+                again = App(Var("x"), Var("y"))
+                assert substitute(result, "z", again) == reference_substitute(result, "z", again)
+    assert renamed > 50
+
+
+def test_alpha_key_equality_equals_reference_key_equality():
+    rng = random.Random(16)
+    counter = [0]
+    pairs = []
+    for _ in range(200):
+        a = random_syntactic_term(rng, rng.randrange(1, 5))
+        b = random_syntactic_term(rng, rng.randrange(1, 5))
+        pairs += [
+            (a, b),
+            (a, _renamed(a, counter)),
+            (Lam("x", a), Lam("y", substitute(a, "x", Var("y")))),
+            (a, substitute(a, "x", Var("y"))),
+        ]
+    agreed = {True: 0, False: 0}
+    for a, b in pairs:
+        expected = reference_alpha_key(a) == reference_alpha_key(b)
+        assert (alpha_key(a) == alpha_key(b)) == expected
+        agreed[expected] += 1
+    assert agreed[True] > 300 and agreed[False] > 200

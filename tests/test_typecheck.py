@@ -36,7 +36,6 @@ from presup import (
     to_json,
     validate,
 )
-from presup import typecheck
 from presup.lexicon import entry
 
 from helpers import random_context, typed_pool
@@ -412,14 +411,49 @@ def test_readings_share_their_codomain_derivations(sig):
     # the discourse) is derived once and shared by every reading of the
     # sentence, so the readings reach far fewer nodes than 120 separate trees.
     meaning = interpret(parse_discourse("A man walked in. He sat down. " * 5))
-    raw = typecheck._infer(sig, Context(), meaning, typecheck.DEFAULT_CONFIG)
-    assert len(raw) == 120
-    assert len(typecheck._dedup(raw, typecheck.DEFAULT_CONFIG)) == 120
     derivations = infer_all(sig, Context(), meaning)
     assert len(derivations) == 120
     assert _distinct_nodes(derivations) < 1000
     for derivation in derivations:
         validate(derivation)
+
+
+PAPER_DISCOURSES = (
+    "A man walked in. He sat down.",
+    "A man walked in. The man (then) sat down.",
+    "If a farmer owns a donkey, he beats it.",
+    "Every farmer who owns a donkey beats it.",
+    "A farmer owns a donkey. The farmer beats the donkey.",
+    "A man walked in. If a farmer owns a donkey, he beats it.",
+    "A man walked in. He sat down. " * 5,
+)
+
+
+def _assert_distinct_trails(derivations):
+    trails = [_witnesses(derivation) for derivation in derivations]
+    assert len(set(trails)) == len(trails)
+    assert len({len(trail) for trail in trails}) == 1
+
+
+def test_readings_have_distinct_witness_trails(sig):
+    # Only a require branches, the solver returns alpha-distinct witnesses
+    # and a witness adds no require, so the readings of one term meet the
+    # same requires in the same order and no two choose the same witnesses.
+    # This is why infer_all and check_all return the readings as built.
+    for text in PAPER_DISCOURSES:
+        _assert_distinct_trails(infer_all(sig, Context(), interpret(parse_discourse(text))))
+    rng = random.Random(33)
+    cfg = CheckConfig()
+    branching = 0
+    for _ in range(8):
+        ctx = random_context(rng)
+        for pooled in typed_pool(rng, sig, ctx, 25, cfg, with_requires=True):
+            checked = check_all(sig, ctx, pooled.term, pooled.type, cfg)
+            _assert_distinct_trails(checked)
+            branching += len(checked) > 1
+            if pooled.inferable:
+                _assert_distinct_trails(infer_all(sig, ctx, pooled.term, cfg))
+    assert branching
 
 
 def test_formation_reports_domain_errors_before_codomain_errors(sig):
