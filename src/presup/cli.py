@@ -8,12 +8,11 @@ go to stdout, errors to stderr; `--json` output is byte-stable across runs.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from collections import Counter
 from dataclasses import replace
 
-from .derivations import CheckConfig, to_json_dict
+from .derivations import CheckConfig, dump_json, to_json_dicts
 from .elaborate import elaborate_all
 from .evaluator import EvalError, normalize
 from .frontend import (
@@ -56,7 +55,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--signature", metavar="FILE", help="extend the base signature from FILE")
         if context:
             p.add_argument("--context", metavar="FILE", help="load local hypotheses from FILE")
-        p.add_argument("--json", action="store_true", help="structured output")
         p.add_argument("--depth", type=_at_least(0), default=None, help="witness search depth")
         p.add_argument(
             "--max-solutions", type=_at_least(1), default=None, help="witnesses per presupposition"
@@ -81,6 +79,9 @@ def _build_parser() -> argparse.ArgumentParser:
     solve_cmd = sub.add_parser("solve", help="list witnesses for a goal type")
     common(solve_cmd)
     solve_cmd.add_argument("goal", metavar="GOALTYPE", help="the goal type, or @FILE")
+
+    for p in (check, elab, solve_cmd):
+        p.add_argument("--json", action="store_true", help="structured output")
 
     repl = sub.add_parser("repl", help="interactive loop")
     common(repl)
@@ -134,7 +135,7 @@ def _write_solutions(solutions, out) -> None:
 
 
 def _print_json(payload, out) -> None:
-    out.write(json.dumps(payload, sort_keys=True, indent=2))
+    out.write(dump_json(payload))
     out.write("\n")
 
 
@@ -159,7 +160,7 @@ def cmd_check(args, out, err) -> int:
     term = parse_term(_read_input(args.term), sig.names)
     derivations = infer_all(sig, ctx, term, cfg)
     if args.json:
-        _print_json([to_json_dict(d) for d in derivations], out)
+        _print_json(to_json_dicts(derivations), out)
         return 0
     # Counter keeps the classifiers in first-seen order.
     groups = Counter(format_term(d.conclusion.classifier) for d in derivations)

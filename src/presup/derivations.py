@@ -368,33 +368,111 @@ _CHECKERS = {
 
 
 def to_json_dict(derivation: Derivation) -> dict:
-    """Serialize a derivation to plain dicts; terms in concrete syntax."""
-    return _json_node(derivation, {})
+    """Serialize a derivation to plain dicts; terms in concrete syntax.
+
+    The result shares sub-objects (one dict per distinct node, one `ctx`
+    list per distinct context), so treat it as read-only.
+    """
+    return to_json_dicts([derivation])[0]
 
 
-def _json_node(derivation: Derivation, texts: dict) -> dict:
+def to_json_dicts(derivations) -> list:
+    """`to_json_dict` of each derivation, with nodes, contexts and terms
+    shared between them serialized once."""
+    # The memo maps the id of a node to its dict, of a context to its `ctx`
+    # list and of a term to its text.  All of them stay alive while the
+    # caller holds the derivations, so their ids are distinct for the call.
+    memo = {}
+    return [_json_node(d, memo) for d in derivations]
+
+
+def _json_node(derivation: Derivation, memo: dict) -> dict:
+    node = memo.get(id(derivation))
+    if node is not None:
+        return node
     j = derivation.conclusion
-    node = {
+    ctx = memo.get(id(j.ctx))
+    if ctx is None:
+        ctx = memo[id(j.ctx)] = [f"{name} : {_text(t, memo)}" for name, t in j.ctx.entries]
+    node = memo[id(derivation)] = {
         "rule": derivation.rule,
-        "ctx": [f"{name} : {_text(t, texts)}" for name, t in j.ctx.entries],
-        "term": _text(j.subject, texts),
-        "type": _text(j.classifier, texts),
-        "premises": [_json_node(p, texts) for p in derivation.premises],
+        "ctx": ctx,
+        "term": _text(j.subject, memo),
+        "type": _text(j.classifier, memo),
+        "premises": [_json_node(p, memo) for p in derivation.premises],
     }
     if derivation.witness is not None:
-        node["witness"] = _text(derivation.witness, texts)
+        node["witness"] = _text(derivation.witness, memo)
     return node
 
 
-def _text(term: Term, texts: dict) -> str:
-    # One rendering per distinct term per call, keyed by identity: context
-    # entries recur at every node below their binder.
-    text = texts.get(id(term))
+def _text(term: Term, memo: dict) -> str:
+    text = memo.get(id(term))
     if text is None:
-        text = texts[id(term)] = format_term(term)
+        text = memo[id(term)] = format_term(term)
     return text
 
 
 def to_json(derivation: Derivation) -> str:
     """Stable textual serialization: sorted keys, deterministic order."""
-    return json.dumps(to_json_dict(derivation), sort_keys=True, indent=2)
+    return dump_json(to_json_dict(derivation))
+
+
+_quote = json.encoder.encode_basestring_ascii
+
+
+def dump_json(payload) -> str:
+    """Exactly `json.dumps(payload, sort_keys=True, indent=2)`, for payloads
+    of dicts with string keys, lists, strings and scalars.
+
+    A list of strings is rendered once per nesting level and reused, keyed
+    by identity: a node's `ctx` list recurs at every node below its binder.
+    Other containers are written out on each visit, never cached, so memory
+    stays linear in the output rather than in depth times output.
+    """
+    out = []
+    _write(payload, "\n", out, {})
+    return "".join(out)
+
+
+def _write(value, newline: str, out: list, leaves: dict) -> None:
+    # newline is a line break plus the indentation of value's own level.
+    if type(value) is str:
+        out.append(_quote(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key in sorted(value):
+            item = value[key]
+            if type(item) is str:
+                out.append(f"{separator}{_quote(key)}: {_quote(item)}")
+            else:
+                out.append(f"{separator}{_quote(key)}: ")
+                _write(item, inner, out, leaves)
+            separator = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        key = (id(value), len(newline))
+        text = leaves.get(key)
+        if text is not None:
+            out.append(text)
+            return
+        inner = newline + "  "
+        if all(type(item) is str for item in value):
+            text = leaves[key] = f"[{inner}{(',' + inner).join(map(_quote, value))}{newline}]"
+            out.append(text)
+            return
+        separator = "[" + inner
+        for item in value:
+            out.append(separator)
+            _write(item, inner, out, leaves)
+            separator = "," + inner
+        out.append(newline + "]")
+    else:
+        out.append(json.dumps(value))

@@ -119,39 +119,46 @@ def normalize(term: Term, step_budget: int = DEFAULT_STEP_BUDGET) -> Term:
 
 
 def _norm(term: Term, budget: _Budget) -> Term:
+    # A node none of whose fields change is returned as it is, so callers
+    # can tell a normal term by identity.
     match term:
         case Var() | Const() | Universe():
             return term
         case App(fun, arg):
-            fun = _norm(fun, budget)
-            arg = _norm(arg, budget)
-            if isinstance(fun, Lam):
+            fun_nf = _norm(fun, budget)
+            arg_nf = _norm(arg, budget)
+            if isinstance(fun_nf, Lam):
                 budget.spend()
-                return _norm(substitute(fun.body, fun.binder, arg), budget)
-            return App(fun, arg)
-        case Fst(pair):
-            pair = _norm(pair, budget)
-            if isinstance(pair, Pair):
+                return _norm(substitute(fun_nf.body, fun_nf.binder, arg_nf), budget)
+            if fun_nf is fun and arg_nf is arg:
+                return term
+            return App(fun_nf, arg_nf)
+        case Fst(pair) | Snd(pair):
+            pair_nf = _norm(pair, budget)
+            if isinstance(pair_nf, Pair):
                 budget.spend()
-                return pair.first
-            return Fst(pair)
-        case Snd(pair):
-            pair = _norm(pair, budget)
-            if isinstance(pair, Pair):
-                budget.spend()
-                return pair.second
-            return Snd(pair)
+                return pair_nf.first if isinstance(term, Fst) else pair_nf.second
+            if pair_nf is pair:
+                return term
+            return type(term)(pair_nf)
         case Let(binder, _, value, body):
             budget.spend()
             return _norm(substitute(body, binder, value), budget)
     # Congruence: every other form normalizes its fields in place.
     _, fields, scope = _shape(term)
+    if scope is not None:
+        fields += (scope,)
     args = []
+    changed = False
     for field in fields:
-        args.append(_norm(getattr(term, field), budget))
+        value = getattr(term, field)
+        args.append(_norm(value, budget))
+        changed = changed or args[-1] is not value
+    if not changed:
+        return term
     if scope is None:
         return type(term)(*args)
-    return type(term)(term.binder, *args, _norm(getattr(term, scope), budget))
+    return type(term)(term.binder, *args)
 
 
 def convertible(a: Term, b: Term, step_budget: int = DEFAULT_STEP_BUDGET) -> bool:

@@ -93,10 +93,8 @@ class _Table:
         while queue:
             term, raw, parent, rule, length = queue.popleft()
             key = alpha_key(raw)
-            spine_type, normal_key = raw, key
-            if rule != SIG_E1:
-                spine_type = normalize(raw, step_budget)
-                normal_key = alpha_key(spine_type)
+            spine_type = raw if rule == SIG_E1 else normalize(raw, step_budget)
+            normal_key = key if spine_type is raw else alpha_key(spine_type)
             position = len(self.spines)
             self.spines.append((term, spine_type, raw, key != normal_key, parent, rule))
             self.index.setdefault(normal_key, []).append(position)
@@ -178,7 +176,8 @@ def solve(
     # Spine types are normal, so convertibility with the goal is equality
     # of alpha keys with the goal's normal form.
     goal_key = alpha_key(goal)
-    normal_key = alpha_key(normalize(goal, cfg.step_budget))
+    normal_goal = normalize(goal, cfg.step_budget)
+    normal_key = goal_key if normal_goal is goal else alpha_key(normal_goal)
     solutions = []
     seen = set()
     for table in tables:

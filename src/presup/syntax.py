@@ -9,6 +9,7 @@ scope over the final subterm only, never over domains or annotations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 
 class Term:
@@ -303,17 +304,22 @@ class Telescope:
     entries: tuple = ()
 
     def lookup(self, name: str):
-        for entry_name, entry_type in self.entries:
-            if entry_name == name:
-                return entry_type
-        return None
+        return self._types.get(name)
 
     def extend(self, name: str, entry_type: Term) -> "Telescope":
         return Telescope(self.entries + ((name, entry_type),))
 
-    @property
+    # Both caches are built on first use and kept in the instance dict, out
+    # of the dataclass fields, so ==, hash and repr see the entries only.
+    @cached_property
+    def _types(self) -> dict:
+        # Reversed, so the first entry of a repeated name wins, as a left
+        # scan would find it.
+        return dict(reversed(self.entries))
+
+    @cached_property
     def names(self) -> frozenset[str]:
-        return frozenset(name for name, _ in self.entries)
+        return frozenset(self._types)
 
 
 # The two roles a telescope plays in a judgment.

@@ -228,9 +228,9 @@ def _expose(derivation: Derivation, shape, cfg: CheckConfig):
 
 def _open_binder(sig: Signature, ctx: Context, binder: str, scope: Term, avoid=frozenset()):
     """Rename a binder so it can become a fresh hypothesis name."""
-    taken = ctx.names | sig.names | avoid
-    if binder not in taken:
+    if binder not in ctx.names and binder not in sig.names and binder not in avoid:
         return binder, scope
+    taken = ctx.names | sig.names | avoid
     renamed = fresh_name(binder, taken | free_vars(scope))
     return renamed, substitute(scope, binder, Var(renamed))
 

@@ -36,6 +36,7 @@ from presup import (
     alpha_eq,
     alpha_key,
     convertible,
+    format_term,
     infer_all,
     normalize,
     solve,
@@ -694,3 +695,19 @@ def _reference_atom(term: Term) -> str:
             return f"<{reference_format(first)}, {reference_format(second)}>"
         case _:
             return f"({reference_format(term)})"
+
+
+def reference_to_json_dict(derivation: Derivation) -> dict:
+    """to_json_dict as a plain recursion: a fresh dict at every visit of a
+    node and a fresh `ctx` list at every node, sharing nothing."""
+    j = derivation.conclusion
+    node = {
+        "rule": derivation.rule,
+        "ctx": [f"{name} : {format_term(t)}" for name, t in j.ctx.entries],
+        "term": format_term(j.subject),
+        "type": format_term(j.classifier),
+        "premises": [reference_to_json_dict(p) for p in derivation.premises],
+    }
+    if derivation.witness is not None:
+        node["witness"] = format_term(derivation.witness)
+    return node

@@ -12,6 +12,7 @@ from presup import alpha_eq, parse_term
 from presup.cli import main
 
 from conftest import DONKEY_LINE, PCTX_LINE
+from helpers import reference_to_json_dict
 
 
 def run(argv, stdin=""):
@@ -380,3 +381,28 @@ def test_max_derivations_lets_the_x6_chain_elaborate():
     code, out, err = run(["elaborate", "--max-derivations", "719", "--discourse", CHAIN_X6])
     assert code == 1 and "more than 719 derivations" in err
     assert run(["check", "--max-derivations", "1", "E"]) == (0, "Set0, 1 derivation\n", "")
+
+
+def test_repl_rejects_json(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run(["repl", "--json"])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err.rstrip("\n").endswith("error: unrecognized arguments: --json")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "A man walked in. He sat down. " * 4,
+        "A man walked in. A donkey sat down. If a farmer owns a donkey, he beats it.",
+    ],
+)
+def test_check_json_matches_the_unshared_reference(sig, text):
+    meaning = presup.format_term(presup.interpret(presup.parse_discourse(text)))
+    derivations = presup.infer_all(sig, presup.Context(), parse_term(meaning, sig.names))
+    expected = json.dumps(
+        [reference_to_json_dict(d) for d in derivations], sort_keys=True, indent=2
+    )
+    code, out, err = run(["check", "--json", meaning])
+    assert (code, err) == (0, "")
+    assert out == expected + "\n"

@@ -217,3 +217,18 @@ def test_normalize_equals_reference_walker_step_for_step():
             stopped += result is NonTermination
         reduced += _outcome(normalize, term, 0) is NonTermination
     assert stopped > 60 and reduced > 40
+
+
+def test_normalize_returns_a_normal_term_itself():
+    # The solver reuses a term's alpha key when normalizing it changed nothing.
+    rng = random.Random(26)
+    normal_forms = 0
+    for _ in range(200):
+        normal = _outcome(normalize, random_syntactic_term(rng, rng.randrange(1, 6)), 100)
+        if normal is not NonTermination:
+            assert normalize(normal) is normal
+            normal_forms += 1
+    assert normal_forms > 100
+    for text in ("E", "Man (fst p)", "(x : E) * Man x", "\\x. <snd x, x>", "require x : E in Man x"):
+        term = parse_term(text)
+        assert normalize(term) is term

@@ -351,3 +351,13 @@ def test_alpha_key_equality_equals_reference_key_equality():
         assert (alpha_key(a) == alpha_key(b)) == expected
         agreed[expected] += 1
     assert agreed[True] > 300 and agreed[False] > 200
+
+
+def test_telescope_lookup_keeps_the_first_entry_and_its_caches_stay_hidden():
+    entries = (("x", Const("E")), ("y", Var("x")), ("x", Universe(0)))
+    fresh, used = syntax.Telescope(entries), syntax.Telescope(entries)
+    assert used.lookup("x") == Const("E")
+    assert used.lookup("y") == Var("x") and used.lookup("z") is None
+    assert used.names == frozenset({"x", "y"})
+    assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+    assert used.extend("z", Const("E")).lookup("z") == Const("E")
