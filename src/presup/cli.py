@@ -51,10 +51,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, context: bool = True) -> None:
+    def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--signature", metavar="FILE", help="extend the base signature from FILE")
-        if context:
-            p.add_argument("--context", metavar="FILE", help="load local hypotheses from FILE")
+        p.add_argument("--context", metavar="FILE", help="load local hypotheses from FILE")
         p.add_argument("--depth", type=_at_least(0), default=None, help="witness search depth")
         p.add_argument(
             "--max-solutions", type=_at_least(1), default=None, help="witnesses per presupposition"
@@ -104,7 +103,7 @@ def _load_environment(args, cfg: CheckConfig):
         sig = parse_signature_text(_read_file(args.signature), sig)
     check_signature(sig, cfg)
     ctx = Context()
-    if getattr(args, "context", None):
+    if args.context:
         ctx = parse_context_text(_read_file(args.context), sig)
     check_context(sig, ctx, cfg)
     return sig, ctx

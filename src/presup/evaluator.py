@@ -114,8 +114,16 @@ def normalize(term: Term, step_budget: int = DEFAULT_STEP_BUDGET) -> Term:
     Variables and constants are neutral.  Presupposition nodes are preserved
     (their goal type and body are normalized in place); their resolution
     belongs to the solver and elaborator, not to computation.
+
+    A term that normalizes to itself spent no step, so it is marked normal
+    (its _normal slot) and returned at once next time, whatever the budget.
     """
-    return _norm(term, _Budget(step_budget))
+    if getattr(term, "_normal", False):
+        return term
+    result = _norm(term, _Budget(step_budget))
+    if result is term:
+        object.__setattr__(term, "_normal", True)
+    return result
 
 
 def _norm(term: Term, budget: _Budget) -> Term:

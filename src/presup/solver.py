@@ -10,9 +10,19 @@ A head's spines depend only on the head and its declared type, so each head
 gets one table per top-level call: its spines in breadth-first order with
 their normalized types, indexed by the alpha key of that type.  A goal is
 normalized and keyed once; its witnesses are the index hits, and derivation
-trees are built only for them.  The tables live in a context variable that
-the outermost call of `solve`, `enumerate_spines` or a typechecker entry
-point sets and clears, so nothing outlives that call.
+trees are built only for them.
+
+Each (signature, context) pair searched gets one view per top-level call:
+its heads' tables in search order, and next to each table the derivations
+already built from it under that pair.  So a context's head list is built
+once however many goals it is asked, and the same spine in the same
+context is one `Derivation` object in every solution that uses it (the
+validator then checks it once).  Views are keyed by the identity of the two
+telescopes and hold both, so their ids are not reused meanwhile.
+
+The tables and views live in a context variable that the outermost call of
+`solve`, `enumerate_spines` or a typechecker entry point sets and clears, so
+nothing outlives that call.
 """
 
 from __future__ import annotations
@@ -47,7 +57,8 @@ from .syntax import (
     substitute,
 )
 
-# Spine tables of the current top-level call, or None outside one.
+# The spine tables and the views of the current top-level call, as a pair of
+# dicts, or None outside one.
 _TABLES: ContextVar = ContextVar("spine_tables", default=None)
 
 
@@ -67,7 +78,7 @@ def with_spine_tables(fn):
     def scoped(*args, **kwargs):
         if _TABLES.get() is not None:
             return fn(*args, **kwargs)
-        token = _TABLES.set({})
+        token = _TABLES.set(({}, {}))
         try:
             return fn(*args, **kwargs)
         finally:
@@ -94,7 +105,7 @@ class _Table:
             term, raw, parent, rule, length = queue.popleft()
             key = alpha_key(raw)
             spine_type = raw if rule == SIG_E1 else normalize(raw, step_budget)
-            normal_key = key if spine_type is raw else alpha_key(spine_type)
+            normal_key = alpha_key(spine_type)
             position = len(self.spines)
             self.spines.append((term, spine_type, raw, key != normal_key, parent, rule))
             self.index.setdefault(normal_key, []).append(position)
@@ -119,23 +130,30 @@ class _Table:
         return node
 
 
-def _tables(sig: Signature, ctx: Context, depth: int, step_budget: int) -> list:
-    """One table per head: the context newest-first, then the signature
-    oldest-first.  Tables are reused within the current top-level call."""
-    cache = _TABLES.get()
-    heads = [(Var, HYP, entry) for entry in reversed(ctx.entries)]
-    heads += [(Const, CONST, entry) for entry in sig.entries]
-    out = []
-    for make, rule, entry in heads:
-        # Entry tuples are shared between a context and its extensions; the
-        # cached value holds the entry, so its id is not reused meanwhile.
-        key = (id(entry), rule, depth, step_budget)
-        cached = cache.get(key)
-        if cached is None:
-            name, declared = entry
-            cached = cache[key] = (entry, _Table(make(name), declared, rule, depth, step_budget))
-        out.append(cached[1])
-    return out
+def _view(sig: Signature, ctx: Context, depth: int, step_budget: int) -> tuple:
+    """(tables, built): one table per head, the context newest-first, then
+    the signature oldest-first, and beside each table its derivations built
+    so far in sig; ctx.  Both are reused within the current top-level call."""
+    by_head, views = _TABLES.get()
+    view_key = (id(sig), id(ctx), depth, step_budget)
+    view = views.get(view_key)
+    if view is None:
+        heads = [(Var, HYP, entry) for entry in reversed(ctx.entries)]
+        heads += [(Const, CONST, entry) for entry in sig.entries]
+        tables = []
+        for make, rule, entry in heads:
+            # Entry tuples are shared between a context and its extensions;
+            # the cached value holds the entry, so its id is not reused
+            # meanwhile.  A view holds its telescopes for the same reason.
+            key = (id(entry), rule, depth, step_budget)
+            cached = by_head.get(key)
+            if cached is None:
+                name, declared = entry
+                table = _Table(make(name), declared, rule, depth, step_budget)
+                cached = by_head[key] = (entry, table)
+            tables.append(cached[1])
+        view = views[view_key] = (tables, [{} for _ in tables], sig, ctx)
+    return view[0], view[1]
 
 
 @with_spine_tables
@@ -148,7 +166,7 @@ def enumerate_spines(sig: Signature, ctx: Context, depth: int) -> list:
     """
     return [
         (term, spine_type)
-        for table in _tables(sig, ctx, depth, DEFAULT_CONFIG.step_budget)
+        for table in _view(sig, ctx, depth, DEFAULT_CONFIG.step_budget)[0]
         for term, spine_type, *_ in table.spines
     ]
 
@@ -172,16 +190,15 @@ def solve(
     """
     cfg = cfg or DEFAULT_CONFIG
     limit = cfg.max_solutions_per_require if capped else None
-    tables = _tables(sig, ctx, cfg.solver_depth, cfg.step_budget)
+    tables, built = _view(sig, ctx, cfg.solver_depth, cfg.step_budget)
     # Spine types are normal, so convertibility with the goal is equality
     # of alpha keys with the goal's normal form.
     goal_key = alpha_key(goal)
     normal_goal = normalize(goal, cfg.step_budget)
-    normal_key = goal_key if normal_goal is goal else alpha_key(normal_goal)
+    normal_key = alpha_key(normal_goal)
     solutions = []
     seen = set()
-    for table in tables:
-        built = {}
+    for table, table_built in zip(tables, built):
         for position in table.index.get(normal_key, ()):
             if limit is not None and len(solutions) >= limit:
                 return solutions
@@ -190,7 +207,7 @@ def solve(
             if key in seen:
                 continue
             seen.add(key)
-            derivation = table.derivation(position, sig, ctx, built)
+            derivation = table.derivation(position, sig, ctx, table_built)
             if normal_key != goal_key:
                 derivation = Derivation(CONV, Judgment(sig, ctx, term, goal), (derivation,))
             solutions.append(Solution(term, derivation))

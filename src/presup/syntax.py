@@ -15,12 +15,15 @@ from functools import cached_property
 class Term:
     """Base class for all syntax nodes.
 
-    The one slot outside the dataclass fields, _fv, holds the term's
-    free-variable set once free_vars has computed it; it takes no part in
-    equality, hashing or repr.
+    The slots outside the dataclass fields keep results computed on the
+    term: _fv, its free-variable set (free_vars); _ak, its alpha key
+    (alpha_key); _normal, a mark that normalize returned the term itself,
+    having spent no step (evaluator.normalize); and _sub, the last
+    substitution into it as (var, value, result) (substitute).  None of
+    them takes part in construction, equality, hashing or repr.
     """
 
-    __slots__ = ("_fv",)
+    __slots__ = ("_fv", "_ak", "_normal", "_sub")
 
     def __str__(self) -> str:
         return format_term(self)
@@ -203,8 +206,21 @@ def substitute(body: Term, var: str, value: Term) -> Term:
     """Replace free occurrences of var in body by value: [value/var]body.
 
     Capture is avoided by renaming bound variables (with primes) when they
-    would trap a free variable of value.
+    would trap a free variable of value.  A composite body keeps its last
+    substitution, which answers a repeated one with the same var and an
+    identical or equal value.
     """
+    if isinstance(body, (Var, Const, Universe)):
+        return _substitute(body, var, value)
+    memo = getattr(body, "_sub", None)
+    if memo is not None and memo[0] == var and (memo[1] is value or memo[1] == value):
+        return memo[2]
+    result = _substitute(body, var, value)
+    object.__setattr__(body, "_sub", (var, value, result))
+    return result
+
+
+def _substitute(body: Term, var: str, value: Term) -> Term:
     match body:
         case Var(name):
             return value if name == var else body
@@ -213,16 +229,16 @@ def substitute(body: Term, var: str, value: Term) -> Term:
     _, fields, scope = _shape(body)
     args = []
     for field in fields:
-        args.append(substitute(getattr(body, field), var, value))
+        args.append(_substitute(getattr(body, field), var, value))
     if scope is None:
         return type(body)(*args)
     binder, inner = body.binder, getattr(body, scope)
     if binder != var:
         if binder in free_vars(value) and var in free_vars(inner):
             renamed = fresh_name(binder, free_vars(value) | free_vars(inner))
-            inner = substitute(inner, binder, Var(renamed))
+            inner = _substitute(inner, binder, Var(renamed))
             binder = renamed
-        inner = substitute(inner, var, value)
+        inner = _substitute(inner, var, value)
     return type(body)(binder, *args, inner)
 
 
@@ -231,8 +247,13 @@ def alpha_key(term: Term):
 
     Bound variables are replaced by their binder depth, so the key is
     independent of bound names; free variables and constants keep theirs.
+    Each term keeps its key in its _ak slot once computed.
     """
-    return _key(term, {}, 0)
+    key = getattr(term, "_ak", None)
+    if key is None:
+        key = _key(term, {}, 0)
+        object.__setattr__(term, "_ak", key)
+    return key
 
 
 def _key(term: Term, bound: dict, depth: int):

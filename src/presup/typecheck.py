@@ -122,9 +122,14 @@ class UnresolvedPresupposition(TypeCheckError):
     """The term is still a meaning; the context just offers no witness."""
 
     def __init__(self, goal: Term, ctx: Context):
-        super().__init__(f"unresolved presupposition: {format_term(goal)}")
+        # The message is built only when asked for: the typechecker raises
+        # and catches one for every witness whose noun check fails.
+        super().__init__()
         self.goal = goal
         self.ctx = ctx
+
+    def __str__(self) -> str:
+        return f"unresolved presupposition: {format_term(self.goal)}"
 
 
 class BudgetExceeded(TypeCheckError):

@@ -1,4 +1,5 @@
 import random
+from dataclasses import fields
 
 import pytest
 
@@ -7,10 +8,13 @@ from presup import (
     Const,
     Fst,
     Lam,
+    Let,
     NonTermination,
     Pair,
     Pi,
+    Snd,
     StuckTerm,
+    Term,
     Universe,
     UnresolvedRequire,
     Var,
@@ -232,3 +236,51 @@ def test_normalize_returns_a_normal_term_itself():
     for text in ("E", "Man (fst p)", "(x : E) * Man x", "\\x. <snd x, x>", "require x : E in Man x"):
         term = parse_term(text)
         assert normalize(term) is term
+
+
+def _nodes(term):
+    stack = [term]
+    while stack:
+        node = stack.pop()
+        yield node
+        for field in fields(node):
+            value = getattr(node, field.name)
+            if isinstance(value, Term):
+                stack.append(value)
+
+
+def _has_redex(term) -> bool:
+    return any(
+        isinstance(node, Let)
+        or isinstance(node, App) and isinstance(node.fun, Lam)
+        or isinstance(node, (Fst, Snd)) and isinstance(node.pair, Pair)
+        for node in _nodes(term)
+    )
+
+
+def test_normal_mark_only_on_redex_free_terms_and_budgets_still_hold():
+    # Marks persist across calls: normalizing every subterm (and each normal
+    # form) at a large budget first marks the normal ones, and the small
+    # budgets after it must still run out exactly where the reference
+    # walker does.
+    rng = random.Random(27)
+    marked = unmarked = 0
+    for _ in range(200):
+        term = random_syntactic_term(rng, rng.randrange(1, 6))
+        nodes = list(_nodes(term))
+        for node in nodes:
+            normal = _outcome(normalize, node, 100)
+            if normal is not NonTermination:
+                assert normalize(normal, 0) is normal and normal._normal
+        for budget in (12, 5, 3, 2, 1, 0):
+            result = _outcome(normalize, term, budget)
+            assert result == _outcome(reference_normalize, term, budget)
+        for node in nodes:
+            if getattr(node, "_normal", False):
+                marked += 1
+                assert not _has_redex(node)
+                assert normalize(node, 0) is node
+            else:
+                unmarked += 1
+                assert _has_redex(node) or isinstance(node, (Var, Const, Universe))
+    assert marked > 1000 and unmarked > 150

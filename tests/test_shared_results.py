@@ -1,6 +1,7 @@
-"""Results kept on the nodes: validity marks, elaborations and free-variable
-sets.  Each is computed once per distinct node, can never vouch for a node it
-was not computed on, and stays invisible to ==, hash and repr."""
+"""Results kept on the nodes: validity marks, elaborations, and each term's
+free-variable set, alpha key, normal mark and last substitution.  Each is
+computed once per distinct node, can never vouch for a node it was not
+computed on, and stays invisible to ==, hash and repr."""
 
 import dataclasses
 import importlib
@@ -16,14 +17,18 @@ from presup import (
     Derivation,
     InvalidDerivation,
     Judgment,
+    Sigma,
     Term,
     Var,
+    alpha_key,
     elaborate,
     free_vars,
     infer_all,
     interpret,
+    normalize,
     parse_discourse,
     parse_term,
+    substitute,
     syntax,
     validate,
 )
@@ -182,3 +187,28 @@ def test_kept_results_stay_out_of_eq_hash_and_repr(checked):
     assert not copy._valid and copy._elaborated is None
     assert (checked, hash(checked), repr(checked)) == (copy, hash(copy), repr(copy))
     assert "_valid" not in repr(checked) and "_elaborated" not in repr(checked)
+
+
+def _man_of(name):
+    return Sigma(name, Const("E"), App(Const("Man"), Var(name)))
+
+
+def test_term_results_stay_out_of_eq_hash_and_repr():
+    term, fresh = _man_of("x"), _man_of("x")
+    key = alpha_key(_man_of("x"))
+    assert alpha_key(term) == key and normalize(term) is term
+    assert substitute(term.codomain, "x", Var("y")) == App(Const("Man"), Var("y"))
+    assert term._ak == key and term._normal
+    assert term.codomain._sub == ("x", Var("y"), App(Const("Man"), Var("y")))
+    for node, copy in ((term, fresh), (term.codomain, fresh.codomain)):
+        assert (node, hash(node), repr(node)) == (copy, hash(copy), repr(copy))
+        assert not any(slot in repr(node) for slot in ("_ak", "_normal", "_sub"))
+    # Alpha-equal terms are not equal, whatever their kept keys say.
+    renamed = _man_of("z")
+    assert alpha_key(renamed) == key and renamed != term
+
+
+@pytest.mark.parametrize("slot", ["_fv", "_ak", "_normal", "_sub"])
+def test_constructor_cannot_set_a_term_result(slot):
+    with pytest.raises(TypeError):
+        App(Const("Man"), Var("x"), **{slot: None})

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -268,3 +269,62 @@ def test_tables_are_built_once_per_head_within_a_call(sig, pctx, monkeypatch):
     # but each head's spines are computed once.
     assert len(built) == len(set(built))
     assert {"p"} | {name for name, _ in sig.entries} <= set(built)
+
+
+DEFINITES = (
+    "A farmer owns a donkey. A man walked in. The farmer beats the donkey. "
+    "The man sat down. The farmer walked in. The donkey sat down. "
+    "The farmer owns the donkey. The man walked in. The donkey beats the farmer. "
+    "The farmer sat down."
+)
+
+
+def test_one_call_builds_each_view_once_and_shares_its_spine_derivations(sig, monkeypatch):
+    from presup import infer_all, interpret, parse_discourse, solver
+    import presup.derivations as D
+
+    # Every head list _view hands out, per (sig, ctx) pair; holding the
+    # lists and telescopes keeps their ids from being reused.
+    handed = {}
+    make_view = solver._view
+
+    def recording(sig_, ctx, *args):
+        tables, built = make_view(sig_, ctx, *args)
+        handed.setdefault((id(sig_), id(ctx)), (sig_, ctx, []))[2].append(tables)
+        return tables, built
+
+    monkeypatch.setattr(solver, "_view", recording)
+    checks = Counter()
+    for rule, checker in D._CHECKERS.items():
+        def counted(d, checker=checker):
+            checks[id(d)] += 1
+            checker(d)
+
+        monkeypatch.setitem(D._CHECKERS, rule, counted)
+
+    (derivation,) = infer_all(sig, Context(), interpret(parse_discourse(DEFINITES)))
+    lists = [tables_per_call for _, _, tables_per_call in handed.values()]
+    assert sum(map(len, lists)) > 2 * len(lists)
+    # Each pair's head list was built once and handed out on every solve.
+    assert all(all(tables is ours[0] for tables in ours) for ours in lists)
+    assert len({id(ours[0]) for ours in lists}) == len(lists)
+    validate(derivation)
+    # 177 when every solve builds its own spine derivations.
+    assert sum(checks.values()) == len(checks) == 152
+
+
+def test_solves_in_one_call_share_spine_derivations(sig, pctx):
+    from presup import solver
+
+    @solver.with_spine_tables
+    def twice(goal):
+        return solve(sig, pctx, goal), solve(sig, pctx, goal)
+
+    for goal in (ENTITY, App(Const("Man"), Fst(Var("p")))):
+        first, second = twice(goal)
+        assert first == second and len(first) == 1
+        assert first[0].derivation is second[0].derivation
+        # Separate top-level calls share nothing.
+        (again,) = solve(sig, pctx, goal)
+        assert again.derivation == first[0].derivation
+        assert again.derivation is not first[0].derivation

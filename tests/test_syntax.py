@@ -332,6 +332,30 @@ def test_substitute_and_contains_require_equal_reference_walkers():
     assert renamed > 50
 
 
+def test_substitute_memo_agrees_with_reference_under_interleaved_calls():
+    # Each body keeps only its last substitution: an equal value that is not
+    # the same object hits it, another var or value evicts it.
+    rng = random.Random(18)
+    hits = 0
+    for _ in range(200):
+        term = random_syntactic_term(rng, rng.randrange(1, 6))
+        value, other = random_syntactic_term(rng, 2), App(Var("y"), Var("x'"))
+        calls = [
+            ("x", value), ("x", _rebuilt(value)), ("y", value), ("x", value),
+            ("x", other), ("x", _rebuilt(other)), ("y", other), ("x", _rebuilt(value)),
+        ]
+        last = None
+        for var, val in calls:
+            result = substitute(term, var, val)
+            assert result == reference_substitute(term, var, val)
+            if last is not None and last[:2] == (var, val):
+                if not isinstance(term, (Var, Const, Universe)):
+                    assert result is last[2]
+                    hits += 1
+            last = (var, val, result)
+    assert hits > 150
+
+
 def test_alpha_key_equality_equals_reference_key_equality():
     rng = random.Random(16)
     counter = [0]
