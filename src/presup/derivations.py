@@ -377,11 +377,11 @@ def to_json_dict(derivation: Derivation) -> dict:
 
 
 def to_json_dicts(derivations) -> list:
-    """`to_json_dict` of each derivation, with nodes, contexts and terms
-    shared between them serialized once."""
-    # The memo maps the id of a node to its dict, of a context to its `ctx`
-    # list and of a term to its text.  All of them stay alive while the
-    # caller holds the derivations, so their ids are distinct for the call.
+    """`to_json_dict` of each derivation, with nodes and contexts shared
+    between them serialized once (terms keep their own text)."""
+    # The memo maps the id of a node to its dict and of a context to its
+    # `ctx` list.  Both stay alive while the caller holds the derivations, so
+    # their ids are distinct for the call.
     memo = {}
     return [_json_node(d, memo) for d in derivations]
 
@@ -393,24 +393,17 @@ def _json_node(derivation: Derivation, memo: dict) -> dict:
     j = derivation.conclusion
     ctx = memo.get(id(j.ctx))
     if ctx is None:
-        ctx = memo[id(j.ctx)] = [f"{name} : {_text(t, memo)}" for name, t in j.ctx.entries]
+        ctx = memo[id(j.ctx)] = [f"{name} : {format_term(t)}" for name, t in j.ctx.entries]
     node = memo[id(derivation)] = {
         "rule": derivation.rule,
         "ctx": ctx,
-        "term": _text(j.subject, memo),
-        "type": _text(j.classifier, memo),
+        "term": format_term(j.subject),
+        "type": format_term(j.classifier),
         "premises": [_json_node(p, memo) for p in derivation.premises],
     }
     if derivation.witness is not None:
-        node["witness"] = _text(derivation.witness, memo)
+        node["witness"] = format_term(derivation.witness)
     return node
-
-
-def _text(term: Term, memo: dict) -> str:
-    text = memo.get(id(term))
-    if text is None:
-        text = memo[id(term)] = format_term(term)
-    return text
 
 
 def to_json(derivation: Derivation) -> str:

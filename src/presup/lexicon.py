@@ -68,10 +68,6 @@ class LexEntry:
     meaning_type: Term
 
 
-def _app2(fun: Term, a: Term, b: Term) -> Term:
-    return App(App(fun, a), b)
-
-
 _P = Var("P")
 _Q = Var("Q")
 _X = Var("x")

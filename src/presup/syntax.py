@@ -18,12 +18,14 @@ class Term:
     The slots outside the dataclass fields keep results computed on the
     term: _fv, its free-variable set (free_vars); _ak, its alpha key
     (alpha_key); _normal, a mark that normalize returned the term itself,
-    having spent no step (evaluator.normalize); and _sub, the last
-    substitution into it as (var, value, result) (substitute).  None of
-    them takes part in construction, equality, hashing or repr.
+    having spent no step (evaluator.normalize); _sub, the last
+    substitution into it as (var, value, result) (substitute); and _text,
+    False once the term has been printed and its text from its second print
+    on (format_term).  None of them takes part in construction, equality,
+    hashing or repr.
     """
 
-    __slots__ = ("_fv", "_ak", "_normal", "_sub")
+    __slots__ = ("_fv", "_ak", "_normal", "_sub", "_text")
 
     def __str__(self) -> str:
         return format_term(self)
@@ -353,57 +355,63 @@ def format_term(term: Term) -> str:
     Parsing the result gives back an alpha-equal term.  Non-dependent function
     and pair types print as A -> B and A * B; both extend maximally to the
     right, as do all binders.
+
+    A composite term is marked on its first print and keeps its text in its
+    _text slot from its second print on, so a subterm shared by many printed
+    terms is rendered twice at most, while a term printed once (such as a
+    long discourse's single reading) keeps marks only.
     """
-    match term:
-        case Lam(binder, body):
-            return f"\\{binder}. {format_term(body)}"
-        case Require(binder, goal_type, body):
-            return f"require {binder} : {format_term(goal_type)} in {format_term(body)}"
-        case Let(binder, annot, value, body):
-            return (
-                f"let {binder} : {format_term(annot)} = {format_term(value)}"
-                f" in {format_term(body)}"
-            )
-        case Pi(binder, domain, codomain):
-            if binder in free_vars(codomain):
-                return f"({binder} : {format_term(domain)}) -> {format_term(codomain)}"
-            return f"{_format_operand(domain)} -> {format_term(codomain)}"
-        case Sigma(binder, domain, codomain):
-            if binder in free_vars(codomain):
-                return f"({binder} : {format_term(domain)}) * {format_term(codomain)}"
-            return f"{_format_operand(domain)} * {format_term(codomain)}"
-        case _:
-            return _format_app(term)
-
-
-def _format_operand(term: Term) -> str:
-    # Left operand of -> or *: binder-like forms would swallow the operator.
-    match term:
-        case Pi() | Sigma() | Lam() | Require() | Let():
-            return f"({format_term(term)})"
-        case _:
-            return _format_app(term)
-
-
-def _format_app(term: Term) -> str:
-    match term:
-        case App(fun, arg):
-            return f"{_format_app(fun)} {_format_atom(arg)}"
-        case Fst(pair):
-            return f"fst {_format_atom(pair)}"
-        case Snd(pair):
-            return f"snd {_format_atom(pair)}"
-        case _:
-            return _format_atom(term)
-
-
-def _format_atom(term: Term) -> str:
+    text = getattr(term, "_text", None)
+    if text:
+        return text
     match term:
         case Var(name) | Const(name):
             return name
         case Universe(level):
             return f"Set{level}"
+        case Lam(binder, body):
+            rendered = f"\\{binder}. {format_term(body)}"
+        case Require(binder, goal_type, body):
+            rendered = f"require {binder} : {format_term(goal_type)} in {format_term(body)}"
+        case Let(binder, annot, value, body):
+            rendered = (
+                f"let {binder} : {format_term(annot)} = {format_term(value)}"
+                f" in {format_term(body)}"
+            )
+        case Pi(binder, domain, codomain):
+            if binder in free_vars(codomain):
+                rendered = f"({binder} : {format_term(domain)}) -> {format_term(codomain)}"
+            else:
+                rendered = f"{_format_operand(domain)} -> {format_term(codomain)}"
+        case Sigma(binder, domain, codomain):
+            if binder in free_vars(codomain):
+                rendered = f"({binder} : {format_term(domain)}) * {format_term(codomain)}"
+            else:
+                rendered = f"{_format_operand(domain)} * {format_term(codomain)}"
+        case App(fun, arg):
+            rendered = f"{_format_operand(fun)} {_format_atom(arg)}"
+        case Fst(pair):
+            rendered = f"fst {_format_atom(pair)}"
+        case Snd(pair):
+            rendered = f"snd {_format_atom(pair)}"
         case Pair(first, second):
-            return f"<{format_term(first)}, {format_term(second)}>"
+            rendered = f"<{format_term(first)}, {format_term(second)}>"
         case _:
-            return f"({format_term(term)})"
+            raise TypeError(f"not a term: {term!r}")
+    object.__setattr__(term, "_text", rendered if text is False else False)
+    return rendered
+
+
+def _format_operand(term: Term) -> str:
+    # Left operand of -> or * and the function of an application: a binding
+    # form would swallow what follows it.
+    if isinstance(term, (Pi, Sigma, Lam, Require, Let)):
+        return f"({format_term(term)})"
+    return format_term(term)
+
+
+def _format_atom(term: Term) -> str:
+    # Argument of an application or a projection.
+    if isinstance(term, (Var, Const, Universe, Pair)):
+        return format_term(term)
+    return f"({format_term(term)})"

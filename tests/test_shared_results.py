@@ -1,7 +1,7 @@
 """Results kept on the nodes: validity marks, elaborations, and each term's
-free-variable set, alpha key, normal mark and last substitution.  Each is
-computed once per distinct node, can never vouch for a node it was not
-computed on, and stays invisible to ==, hash and repr."""
+free-variable set, alpha key, normal mark, last substitution and printed
+text.  Each is computed once per distinct node, can never vouch for a node
+it was not computed on, and stays invisible to ==, hash and repr."""
 
 import dataclasses
 import importlib
@@ -22,6 +22,7 @@ from presup import (
     Var,
     alpha_key,
     elaborate,
+    format_term,
     free_vars,
     infer_all,
     interpret,
@@ -198,17 +199,56 @@ def test_term_results_stay_out_of_eq_hash_and_repr():
     key = alpha_key(_man_of("x"))
     assert alpha_key(term) == key and normalize(term) is term
     assert substitute(term.codomain, "x", Var("y")) == App(Const("Man"), Var("y"))
+    assert format_term(term) == format_term(term) == "(x : E) * Man x"
     assert term._ak == key and term._normal
     assert term.codomain._sub == ("x", Var("y"), App(Const("Man"), Var("y")))
+    assert term._text == "(x : E) * Man x" and term.codomain._text == "Man x"
+    once = _man_of("x")
+    assert format_term(once) == "(x : E) * Man x" and once._text is False
+    assert (once, hash(once), repr(once)) == (fresh, hash(fresh), repr(fresh))
     for node, copy in ((term, fresh), (term.codomain, fresh.codomain)):
         assert (node, hash(node), repr(node)) == (copy, hash(copy), repr(copy))
-        assert not any(slot in repr(node) for slot in ("_ak", "_normal", "_sub"))
+        assert not any(slot in repr(node) for slot in ("_ak", "_normal", "_sub", "_text"))
     # Alpha-equal terms are not equal, whatever their kept keys say.
     renamed = _man_of("z")
     assert alpha_key(renamed) == key and renamed != term
 
 
-@pytest.mark.parametrize("slot", ["_fv", "_ak", "_normal", "_sub"])
+@pytest.mark.parametrize("slot", ["_fv", "_ak", "_normal", "_sub", "_text"])
 def test_constructor_cannot_set_a_term_result(slot):
     with pytest.raises(TypeError):
         App(Const("Man"), Var("x"), **{slot: None})
+
+
+def _occurrences(root: Term):
+    """How many positions of the tree under root each node fills, and the
+    nodes, both by id."""
+    counts, nodes, stack = Counter(), {}, [root]
+    while stack:
+        node = stack.pop()
+        counts[id(node)] += 1
+        nodes[id(node)] = node
+        children = (getattr(node, f.name) for f in dataclasses.fields(node))
+        stack.extend(child for child in children if isinstance(child, Term))
+    return counts, nodes
+
+
+def test_a_term_printed_once_keeps_text_only_on_its_repeated_subterms():
+    meaning = interpret(parse_discourse("A man walked in. " * 300 + "The man sat down."))
+    format_term(meaning)
+    # Every node on the discourse's spine, whose texts are its suffixes, keeps
+    # a mark only.
+    spine, node = 0, meaning
+    while isinstance(node, Sigma):
+        assert node._text is False
+        spine, node = spine + 1, node.codomain
+    assert spine >= 300
+    # Text is kept only on nodes that fill two or more positions: the
+    # subterms each sentence shares with the others.  So the kept texts do
+    # not grow with the discourse: none is longer than one sentence's meaning.
+    counts, nodes = _occurrences(meaning)
+    kept = {i: getattr(node, "_text", None) for i, node in nodes.items()}
+    assert all(counts[i] > 1 for i, text in kept.items() if text)
+    stored = [text for text in kept.values() if text]
+    sentence = format_term(interpret(parse_discourse("A man walked in.")))
+    assert stored and max(map(len, stored)) <= len(sentence)

@@ -1,3 +1,4 @@
+import itertools
 import random
 from dataclasses import fields
 
@@ -219,10 +220,50 @@ def test_pair_projection_components():
 
 
 def test_format_term_matches_reference_printer_on_random_terms():
+    # The first print marks each composite node, the second keeps its text
+    # and the third reads the kept text back.
     rng = random.Random(21)
     for _ in range(200):
         term = random_syntactic_term(rng, rng.randrange(1, 6))
-        assert format_term(term) == reference_format(term)
+        expected = reference_format(term)
+        assert [format_term(term) for _ in range(3)] == [expected] * 3
+
+
+def _shared_positions(shared: Term) -> list:
+    """Terms that hold shared at the top, as an operand of -> and *, as an
+    application's function and argument, and as a projection's pair."""
+    e = Const("E")
+    return [
+        shared,
+        Pi("_", shared, e),
+        Sigma("_", shared, e),
+        App(shared, Var("y")),
+        App(Const("f"), shared),
+        Fst(shared),
+    ]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Pi("x", Const("E"), App(Const("Man"), Var("x"))),
+        lambda: Sigma("x", Const("E"), Const("E")),
+        lambda: Lam("x", Var("x")),
+        lambda: Require("x", Const("E"), Var("x")),
+        lambda: Let("x", Const("E"), Var("c"), Var("x")),
+        lambda: App(Const("Man"), Var("x")),
+        lambda: Snd(Var("p")),
+        lambda: Pair(Var("a"), Var("b")),
+    ],
+    ids=["pi", "sigma", "lam", "require", "let", "app", "snd", "pair"],
+)
+def test_shared_subterm_prints_its_parentheses_in_every_position(build):
+    expected = [reference_format(term) for term in _shared_positions(build())]
+    for order in itertools.permutations(range(len(expected))):
+        terms = _shared_positions(build())
+        printed = {index: format_term(terms[index]) for index in order}
+        assert [printed[index] for index in range(len(terms))] == expected, order
+        assert [format_term(term) for term in terms] == expected, order
 
 
 def test_format_term_matches_reference_printer_on_paper_meanings():
@@ -298,6 +339,7 @@ def test_walkers_reject_non_terms(non_term):
         alpha_key,
         contains_require,
         normalize,
+        format_term,
         lambda t: substitute(t, "x", Var("y")),
         lambda t: substitute(Lam("y", t), "x", Var("y")),
     ):
