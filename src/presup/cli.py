@@ -44,49 +44,6 @@ def _at_least(minimum: int):
     return bound
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="presup",
-        description="Type-check, solve and elaborate presuppositions in a small dependent type theory.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--signature", metavar="FILE", help="extend the base signature from FILE")
-        p.add_argument("--context", metavar="FILE", help="load local hypotheses from FILE")
-        p.add_argument("--depth", type=_at_least(0), default=None, help="witness search depth")
-        p.add_argument(
-            "--max-solutions", type=_at_least(1), default=None, help="witnesses per presupposition"
-        )
-        p.add_argument(
-            "--step-budget", type=_at_least(0), default=None, help="reduction step budget"
-        )
-        p.add_argument(
-            "--max-derivations", type=_at_least(1), default=None, help="derivations per term"
-        )
-
-    check = sub.add_parser("check", help="type-check a term, printing each derived type")
-    common(check)
-    check.add_argument("term", metavar="TERM", help="a term, or @FILE to read one")
-
-    elab = sub.add_parser("elaborate", help="replace presuppositions by their witnesses")
-    common(elab)
-    elab.add_argument("--discourse", action="store_true", help="treat the input as controlled English")
-    elab.add_argument("--max", type=_at_least(0), default=None, help="print at most N results")
-    elab.add_argument("input", metavar="INPUT", help="a term or discourse, or @FILE")
-
-    solve_cmd = sub.add_parser("solve", help="list witnesses for a goal type")
-    common(solve_cmd)
-    solve_cmd.add_argument("goal", metavar="GOALTYPE", help="the goal type, or @FILE")
-
-    for p in (check, elab, solve_cmd):
-        p.add_argument("--json", action="store_true", help="structured output")
-
-    repl = sub.add_parser("repl", help="interactive loop")
-    common(repl)
-    return parser
-
-
 def _config(args) -> CheckConfig:
     bounds = {
         "solver_depth": args.depth,
@@ -153,9 +110,7 @@ def _report_semantic_error(error: Exception, err) -> int:
     return 1
 
 
-def cmd_check(args, out, err) -> int:
-    cfg = _config(args)
-    sig, ctx = _load_environment(args, cfg)
+def cmd_check(args, sig, ctx, cfg, out, err, instream) -> int:
     term = parse_term(_read_input(args.term), sig.names)
     derivations = infer_all(sig, ctx, term, cfg)
     if args.json:
@@ -169,9 +124,7 @@ def cmd_check(args, out, err) -> int:
     return 0
 
 
-def cmd_elaborate(args, out, err) -> int:
-    cfg = _config(args)
-    sig, ctx = _load_environment(args, cfg)
+def cmd_elaborate(args, sig, ctx, cfg, out, err, instream) -> int:
     text = _read_input(args.input)
     if args.discourse:
         term = interpret(parse_discourse(text))
@@ -200,9 +153,7 @@ def _validated_goal(sig, ctx, text: str, cfg: CheckConfig):
     return goal
 
 
-def cmd_solve(args, out, err) -> int:
-    cfg = _config(args)
-    sig, ctx = _load_environment(args, cfg)
+def cmd_solve(args, sig, ctx, cfg, out, err, instream) -> int:
     goal = _validated_goal(sig, ctx, _read_input(args.goal), cfg)
     solutions = solve(sig, ctx, goal, cfg)
     if args.json:
@@ -222,9 +173,7 @@ def cmd_solve(args, out, err) -> int:
     return 0
 
 
-def cmd_repl(args, out, err, instream) -> int:
-    cfg = _config(args)
-    sig, ctx = _load_environment(args, cfg)
+def cmd_repl(args, sig, ctx, cfg, out, err, instream) -> int:
     out.write("commands: :check :elab :solve :discourse :ctx add NAME : TYPE :quit\n")
     while True:
         out.write("> ")
@@ -282,22 +231,60 @@ def _repl_dispatch(line: str, sig, ctx, cfg, out):
     return ctx
 
 
+# Shared options, as parents that add them in help order: the environment
+# and bounds every subcommand takes, elaborate's own flags, then --json.
+_COMMON = argparse.ArgumentParser(add_help=False)
+_COMMON.add_argument("--signature", metavar="FILE", help="extend the base signature from FILE")
+_COMMON.add_argument("--context", metavar="FILE", help="load local hypotheses from FILE")
+_COMMON.add_argument("--depth", type=_at_least(0), default=None, help="witness search depth")
+_COMMON.add_argument(
+    "--max-solutions", type=_at_least(1), default=None, help="witnesses per presupposition"
+)
+_COMMON.add_argument("--step-budget", type=_at_least(0), default=None, help="reduction step budget")
+_COMMON.add_argument(
+    "--max-derivations", type=_at_least(1), default=None, help="derivations per term"
+)
+_ELABORATE = argparse.ArgumentParser(add_help=False)
+_ELABORATE.add_argument(
+    "--discourse", action="store_true", help="treat the input as controlled English"
+)
+_ELABORATE.add_argument("--max", type=_at_least(0), default=None, help="print at most N results")
+_JSON = argparse.ArgumentParser(add_help=False)
+_JSON.add_argument("--json", action="store_true", help="structured output")
+
+# Built once per process; each subcommand names its handler as `run`.
+_PARSER = argparse.ArgumentParser(
+    prog="presup",
+    description="Type-check, solve and elaborate presuppositions in a small dependent type theory.",
+)
+_SUB = _PARSER.add_subparsers(dest="command", required=True)
+_check = _SUB.add_parser(
+    "check", parents=[_COMMON, _JSON], help="type-check a term, printing each derived type"
+)
+_check.add_argument("term", metavar="TERM", help="a term, or @FILE to read one")
+_check.set_defaults(run=cmd_check)
+_elab = _SUB.add_parser(
+    "elaborate",
+    parents=[_COMMON, _ELABORATE, _JSON],
+    help="replace presuppositions by their witnesses",
+)
+_elab.add_argument("input", metavar="INPUT", help="a term or discourse, or @FILE")
+_elab.set_defaults(run=cmd_elaborate)
+_solve = _SUB.add_parser("solve", parents=[_COMMON, _JSON], help="list witnesses for a goal type")
+_solve.add_argument("goal", metavar="GOALTYPE", help="the goal type, or @FILE")
+_solve.set_defaults(run=cmd_solve)
+_SUB.add_parser("repl", parents=[_COMMON], help="interactive loop").set_defaults(run=cmd_repl)
+
+
 def main(argv=None, out=None, err=None, instream=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     instream = instream if instream is not None else sys.stdin
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
-        if args.command == "check":
-            code = cmd_check(args, out, err)
-        elif args.command == "elaborate":
-            code = cmd_elaborate(args, out, err)
-        elif args.command == "solve":
-            code = cmd_solve(args, out, err)
-        else:
-            code = cmd_repl(args, out, err, instream)
-        return code
+        cfg = _config(args)
+        sig, ctx = _load_environment(args, cfg)
+        return args.run(args, sig, ctx, cfg, out, err, instream)
     except (ParseError, UnknownWord) as error:
         err.write(f"syntax error: {error}\n")
         return 2

@@ -39,27 +39,8 @@ from .syntax import (
     Term,
     Universe,
     Var,
-    format_term,
-    fresh_name,
 )
 from .lexicon import UnknownWord
-
-__all__ = [
-    "ParseError",
-    "UnknownWord",
-    "DiscourseTree",
-    "Simple",
-    "Conditional",
-    "DetNP",
-    "PronNP",
-    "RelClause",
-    "parse_term",
-    "parse_discourse",
-    "interpret",
-    "format_term",
-    "parse_signature_text",
-    "parse_context_text",
-]
 
 
 class ParseError(Exception):
@@ -362,13 +343,9 @@ class _SentenceParser:
         if word in _PRON:
             return PronNP(word)
         if word not in _DET:
-            if word not in _ALL_WORDS:
-                raise UnknownWord(word)
             raise ParseError(self.position, f"a determiner or pronoun (got {word!r})")
         noun = self.take("a noun")
         if noun not in _NOUN:
-            if noun not in _ALL_WORDS:
-                raise UnknownWord(noun)
             raise ParseError(self.position, f"a noun (got {noun!r})")
         rel = None
         if self.peek() == "who":
@@ -475,14 +452,7 @@ def interpret(tree: DiscourseTree) -> Term:
     p'', so later sentences can project witnesses from earlier ones.  The
     result may contain require nodes; it is the meaning before elaboration.
     """
-    meanings = [_sentence_meaning(s) for s in tree.sentences]
-    result = meanings[-1]
-    used = set()
-    binders = []
-    for _ in meanings[:-1]:
-        binder = fresh_name("p", used)
-        used.add(binder)
-        binders.append(binder)
-    for binder, meaning in zip(reversed(binders), reversed(meanings[:-1])):
-        result = Sigma(binder, meaning, result)
+    *earlier, result = [_sentence_meaning(s) for s in tree.sentences]
+    for index in reversed(range(len(earlier))):
+        result = Sigma("p" + "'" * index, earlier[index], result)
     return normalize(result)

@@ -90,9 +90,11 @@ def with_spine_tables(fn):
 class _Table:
     """The spines of one head, breadth-first, to a fixed depth.
 
-    Spine i is (term, normal type, classifier before normalization, whether
-    the two differ, parent index or -1, rule); `index` maps the alpha key of
-    a normal type to the indices of the spines that have it, in order.
+    Spine i is (term, normal type, classifier before normalization, parent
+    index or -1, rule); `index` maps the alpha key of a normal type to the
+    indices of the spines that have it, in order.  `normalize` returns a
+    normal term itself, so the two types differ exactly when they are
+    distinct objects.
     """
 
     __slots__ = ("spines", "index")
@@ -103,11 +105,10 @@ class _Table:
         queue = deque([(head, declared, -1, rule, 0)])
         while queue:
             term, raw, parent, rule, length = queue.popleft()
-            key = alpha_key(raw)
             spine_type = raw if rule == SIG_E1 else normalize(raw, step_budget)
             normal_key = alpha_key(spine_type)
             position = len(self.spines)
-            self.spines.append((term, spine_type, raw, key != normal_key, parent, rule))
+            self.spines.append((term, spine_type, raw, parent, rule))
             self.index.setdefault(normal_key, []).append(position)
             if length >= depth or not isinstance(spine_type, Sigma):
                 continue
@@ -121,10 +122,10 @@ class _Table:
         of its ancestors through `built`."""
         if position in built:
             return built[position]
-        term, spine_type, raw, converted, parent, rule = self.spines[position]
+        term, spine_type, raw, parent, rule = self.spines[position]
         premises = () if parent < 0 else (self.derivation(parent, sig, ctx, built),)
         node = Derivation(rule, Judgment(sig, ctx, term, raw), premises)
-        if converted:
+        if spine_type is not raw:
             node = Derivation(CONV, Judgment(sig, ctx, term, spine_type), (node,))
         built[position] = node
         return node
@@ -193,7 +194,6 @@ def solve(
     tables, built = _view(sig, ctx, cfg.solver_depth, cfg.step_budget)
     # Spine types are normal, so convertibility with the goal is equality
     # of alpha keys with the goal's normal form.
-    goal_key = alpha_key(goal)
     normal_goal = normalize(goal, cfg.step_budget)
     normal_key = alpha_key(normal_goal)
     solutions = []
@@ -208,7 +208,7 @@ def solve(
                 continue
             seen.add(key)
             derivation = table.derivation(position, sig, ctx, table_built)
-            if normal_key != goal_key:
+            if normal_goal is not goal:
                 derivation = Derivation(CONV, Judgment(sig, ctx, term, goal), (derivation,))
             solutions.append(Solution(term, derivation))
     return solutions

@@ -454,7 +454,7 @@ def _infer_let(sig: Signature, ctx: Context, term: Let, cfg: CheckConfig) -> lis
 
 def _check(sig: Signature, ctx: Context, term: Term, expected: Term, cfg: CheckConfig) -> list:
     normal = normalize(expected, cfg.step_budget)
-    needs_conv = not alpha_eq(normal, expected)
+    needs_conv = normal is not expected
     match term:
         case Lam(binder, body):
             #  ctx, x : A |- M : B

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -406,3 +407,36 @@ def test_check_json_matches_the_unshared_reference(sig, text):
     code, out, err = run(["check", "--json", meaning])
     assert (code, err) == (0, "")
     assert out == expected + "\n"
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        (
+            "If, a man walked in, he sat down.",
+            "at position 0: expected a determiner or pronoun (got ',')",
+        ),
+        ("A ,man walked in. He sat down.", "at position 0: expected a noun (got ',')"),
+        ("A man walked in. A wombat sat down.", "unknown word: wombat"),
+    ],
+)
+def test_misplaced_comma_is_a_grammar_error_not_an_unknown_word(text, message):
+    assert run(["elaborate", "--discourse", text]) == (2, "", f"syntax error: {message}\n")
+
+
+def test_main_builds_no_argument_parser(monkeypatch, pctx_file):
+    built = []
+    construct = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        construct(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert run(["check", "--context", pctx_file, "SatDown (require x : E in x)"])[0] == 0
+    assert run(["elaborate", "--discourse", "A man walked in. He sat down."])[0] == 0
+    assert run(["solve", "--context", pctx_file, "E"])[0] == 0
+    assert run(["repl"], stdin=":solve E\n:quit\n")[0] == 0
+    assert built == []
+    argparse.ArgumentParser(prog="probe")
+    assert built == ["probe"]

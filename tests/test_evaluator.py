@@ -238,6 +238,22 @@ def test_normalize_returns_a_normal_term_itself():
         assert normalize(term) is term
 
 
+def test_normalize_returns_its_argument_exactly_when_alpha_equal_to_it():
+    # The solver and the checker tell a normal type by identity: a reduct has
+    # no redex, so it is never alpha-equal to the term it came from.
+    rng = random.Random(28)
+    same = changed = 0
+    for _ in range(300):
+        term = random_syntactic_term(rng, rng.randrange(1, 6))
+        normal = _outcome(normalize, term, 100)
+        if normal is NonTermination:
+            continue
+        assert (normal is term) == alpha_eq(normal, term)
+        same += normal is term
+        changed += normal is not term
+    assert same > 50 and changed > 50
+
+
 def _nodes(term):
     stack = [term]
     while stack:

@@ -12,6 +12,7 @@ from presup import (
     PronNP,
     RelClause,
     Require,
+    Sigma,
     Simple,
     UnknownWord,
     Var,
@@ -189,6 +190,15 @@ def test_interpret_first_discourse():
         "(p : (x : E) * (Man x * WalkedIn x)) * SatDown (require y : E in y)"
     )
     assert alpha_eq(meaning, expected)
+
+
+def test_interpret_names_sentence_binders_p_p_prime_and_so_on():
+    term = interpret(parse_discourse("A man walked in. " * 299 + "He sat down."))
+    binders = []
+    while isinstance(term, Sigma):
+        binders.append(term.binder)
+        term = term.codomain
+    assert binders == ["p" + "'" * index for index in range(299)]
 
 
 def test_interpret_definite_description_discourse():

@@ -461,3 +461,22 @@ def test_formation_reports_domain_errors_before_codomain_errors(sig):
         infer_all(sig, Context(), Sigma("x", Fst(Universe(0)), Var("missing")))
     with pytest.raises(UnboundName):
         infer_all(sig, Context(), Sigma("x", Const("E"), Var("missing")))
+
+
+@pytest.mark.parametrize(
+    "term_text,type_text",
+    [("\\x. x", "E -> E"), ("<fst p, snd p>", "(x : E) * (Man x * WalkedIn x)"), ("Set0", "Set1")],
+)
+def test_checking_adds_conv_exactly_when_the_expected_type_is_not_normal(
+    sig, pctx, term_text, type_text
+):
+    term = parse_term(term_text, sig.names)
+    normal = parse_term(type_text, sig.names)
+    redex = App(Lam("A", Var("A")), normal)
+    for expected in (normal, redex):
+        derivations = check_all(sig, pctx, term, expected)
+        assert derivations
+        for derivation in derivations:
+            assert derivation.conclusion.classifier is expected
+            assert (derivation.rule == "Conv") == (expected is redex)
+            validate(derivation)
