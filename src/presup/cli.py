@@ -96,17 +96,10 @@ def _print_json(payload, out) -> None:
 
 
 def _report_semantic_error(error: Exception, err) -> int:
+    err.write(f"error: {error}\n")
     if isinstance(error, UnresolvedPresupposition):
-        err.write(f"error: unresolved presupposition: {format_term(error.goal)}\n")
-        if error.ctx.entries:
-            hypotheses = "; ".join(
-                f"{name} : {format_term(t)}" for name, t in error.ctx.entries
-            )
-            err.write(f"context: {hypotheses}\n")
-        else:
-            err.write("context: <empty>\n")
-    else:
-        err.write(f"error: {error}\n")
+        hypotheses = "; ".join(f"{name} : {format_term(t)}" for name, t in error.ctx.entries)
+        err.write(f"context: {hypotheses or '<empty>'}\n")
     return 1
 
 

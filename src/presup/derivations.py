@@ -27,6 +27,7 @@ from .syntax import (
     Term,
     Universe,
     Var,
+    _SHAPES,
     alpha_eq,
     format_term,
     free_vars,
@@ -127,8 +128,63 @@ def _validate(derivation: Derivation) -> None:
         _fail(derivation, "unknown rule")
     if (derivation.witness is not None) != (derivation.rule == REQUIRE):
         _fail(derivation, "witness present iff the rule is Require")
+    if derivation.rule in FORMS:
+        _check_structure(derivation)
     checker(derivation)
     object.__setattr__(derivation, "_valid", True)
+
+
+# The composite rules and the constructor of each one's subject.  Premise i
+# derives the i-th field of the constructor's syntax._SHAPES row: the field
+# premises under the conclusion's context, and a binding form's scope
+# premise, its last, under that context plus the binder.
+FORMS = {
+    PI_F: Pi,
+    SIG_F: Sigma,
+    PI_I: Lam,
+    PI_E: App,
+    SIG_I: Pair,
+    SIG_E1: Fst,
+    SIG_E2: Snd,
+    LET: Let,
+}
+
+
+def rebuild(d: Derivation, parts: list) -> Term:
+    """The subject of composite node d assembled from parts, one term per
+    premise in premise order.  A binding form's binder is the newest
+    hypothesis of its scope premise: the typechecker records the (possibly
+    freshened) binder there."""
+    form = FORMS[d.rule]
+    if _SHAPES[form][2] is None:
+        return form(*parts)
+    return form(_hypothesis(d)[0], *parts)
+
+
+def _hypothesis(d: Derivation) -> tuple:
+    # The (name, type) a binding node's scope premise adds to its context.
+    return d.premises[-1].conclusion.ctx.entries[-1]
+
+
+def _check_structure(d: Derivation) -> None:
+    # What every composite rule shares: the subject rebuilds from the
+    # premises, which sit under the contexts the table gives them.
+    _, fields, scope = _SHAPES[FORMS[d.rule]]
+    _premise_count(d, len(fields) + (scope is not None))
+    premises = d.premises
+    for premise in premises[: len(fields)]:
+        _same_context(d, premise)
+    if scope is not None:
+        outer = d.conclusion.ctx.entries
+        inner = premises[-1].conclusion.ctx.entries
+        if inner[:-1] != outer or len(inner) != len(outer) + 1:
+            _fail(d, "premise context is not a one-hypothesis extension")
+        # A binding form's first field, if it has one, types its binder.
+        if fields and not alpha_eq(inner[-1][1], premises[0].conclusion.subject):
+            _fail(d, "extended hypothesis type differs from the domain")
+    subjects = [premise.conclusion.subject for premise in premises]
+    if not alpha_eq(d.conclusion.subject, rebuild(d, subjects)):
+        _fail(d, "subject does not rebuild from the premises")
 
 
 def _premise_count(derivation: Derivation, count: int) -> None:
@@ -139,19 +195,6 @@ def _premise_count(derivation: Derivation, count: int) -> None:
 def _same_context(derivation: Derivation, premise: Derivation) -> None:
     if premise.conclusion.ctx != derivation.conclusion.ctx:
         _fail(derivation, "premise context differs from conclusion context")
-
-
-def _extended_context(derivation: Derivation, premise: Derivation, domain: Term):
-    """The premise context must be the conclusion context plus one hypothesis
-    whose type is alpha-equal to domain; returns that hypothesis's name."""
-    outer = derivation.conclusion.ctx.entries
-    inner = premise.conclusion.ctx.entries
-    if inner[:-1] != outer or len(inner) != len(outer) + 1:
-        _fail(derivation, "premise context is not a one-hypothesis extension")
-    binder, entry_type = inner[-1]
-    if not alpha_eq(entry_type, domain):
-        _fail(derivation, "extended hypothesis type differs from the domain")
-    return binder
 
 
 def _check_const(d: Derivation) -> None:
@@ -183,56 +226,39 @@ def _check_cumulativity(d: Derivation) -> None:
         _fail(d, "universe levels must strictly increase")
 
 
+# The composite rules' checkers below run after _check_structure and keep
+# only their typing conditions.
+
+
 def _check_formation(d: Derivation) -> None:
-    _premise_count(d, 2)
-    j = d.conclusion
-    shape = Pi if d.rule == PI_F else Sigma
-    dom_premise, cod_premise = d.premises
-    _same_context(d, dom_premise)
-    if not isinstance(j.subject, shape):
-        _fail(d, "subject has the wrong head")
-    binder = _extended_context(d, cod_premise, dom_premise.conclusion.subject)
-    rebuilt = shape(binder, dom_premise.conclusion.subject, cod_premise.conclusion.subject)
-    if not alpha_eq(j.subject, rebuilt):
-        _fail(d, "subject does not rebuild from the premises")
-    dom_level = dom_premise.conclusion.classifier
-    cod_level = cod_premise.conclusion.classifier
+    dom_level = d.premises[0].conclusion.classifier
+    cod_level = d.premises[1].conclusion.classifier
     if not (isinstance(dom_level, Universe) and isinstance(cod_level, Universe)):
         _fail(d, "premises must conclude in universes")
     expected = Universe(max(dom_level.level, cod_level.level))
-    if j.classifier != expected:
+    if d.conclusion.classifier != expected:
         _fail(d, f"classifier must be {format_term(expected)}")
 
 
 def _check_pi_i(d: Derivation) -> None:
-    _premise_count(d, 1)
     j = d.conclusion
     (body_premise,) = d.premises
-    if not isinstance(j.subject, Lam) or not isinstance(j.classifier, Pi):
-        _fail(d, "subject must be a lambda and classifier a function type")
-    binder = _extended_context(d, body_premise, j.classifier.domain)
-    if not alpha_eq(j.subject, Lam(binder, body_premise.conclusion.subject)):
-        _fail(d, "lambda body does not match the premise subject")
+    if not isinstance(j.classifier, Pi):
+        _fail(d, "classifier is not a function type")
+    binder, binder_type = _hypothesis(d)
+    if not alpha_eq(binder_type, j.classifier.domain):
+        _fail(d, "extended hypothesis type differs from the domain")
     rebuilt = Pi(binder, j.classifier.domain, body_premise.conclusion.classifier)
     if not alpha_eq(j.classifier, rebuilt):
         _fail(d, "codomain does not match the premise classifier")
 
 
 def _check_pi_e(d: Derivation) -> None:
-    _premise_count(d, 2)
     j = d.conclusion
     fun_premise, arg_premise = d.premises
-    _same_context(d, fun_premise)
-    _same_context(d, arg_premise)
-    if not isinstance(j.subject, App):
-        _fail(d, "subject is not an application")
     fun_type = fun_premise.conclusion.classifier
     if not isinstance(fun_type, Pi):
         _fail(d, "function premise classifier is not a function type")
-    if not alpha_eq(j.subject.fun, fun_premise.conclusion.subject):
-        _fail(d, "function does not match the premise")
-    if not alpha_eq(j.subject.arg, arg_premise.conclusion.subject):
-        _fail(d, "argument does not match the premise")
     if not alpha_eq(arg_premise.conclusion.classifier, fun_type.domain):
         _fail(d, "argument type does not match the domain")
     expected = substitute(fun_type.codomain, fun_type.binder, j.subject.arg)
@@ -241,17 +267,10 @@ def _check_pi_e(d: Derivation) -> None:
 
 
 def _check_sig_i(d: Derivation) -> None:
-    _premise_count(d, 2)
     j = d.conclusion
     first_premise, second_premise = d.premises
-    _same_context(d, first_premise)
-    _same_context(d, second_premise)
-    if not isinstance(j.subject, Pair) or not isinstance(j.classifier, Sigma):
-        _fail(d, "subject must be a pair and classifier a pair type")
-    if not alpha_eq(j.subject.first, first_premise.conclusion.subject):
-        _fail(d, "first component does not match the premise")
-    if not alpha_eq(j.subject.second, second_premise.conclusion.subject):
-        _fail(d, "second component does not match the premise")
+    if not isinstance(j.classifier, Sigma):
+        _fail(d, "classifier is not a pair type")
     if not alpha_eq(first_premise.conclusion.classifier, j.classifier.domain):
         _fail(d, "first component type does not match the domain")
     expected = substitute(j.classifier.codomain, j.classifier.binder, j.subject.first)
@@ -259,39 +278,18 @@ def _check_sig_i(d: Derivation) -> None:
         _fail(d, "second component type is not the instantiated codomain")
 
 
-def _projection_premise(d: Derivation):
-    _premise_count(d, 1)
+def _check_projection(d: Derivation) -> None:
     (pair_premise,) = d.premises
-    _same_context(d, pair_premise)
     pair_type = pair_premise.conclusion.classifier
     if not isinstance(pair_type, Sigma):
         _fail(d, "premise classifier is not a pair type")
-    return pair_premise, pair_type
-
-
-def _check_sig_e1(d: Derivation) -> None:
-    pair_premise, pair_type = _projection_premise(d)
-    j = d.conclusion
-    if not isinstance(j.subject, Fst):
-        _fail(d, "subject is not a first projection")
-    if not alpha_eq(j.subject.pair, pair_premise.conclusion.subject):
-        _fail(d, "projected pair does not match the premise")
-    if not alpha_eq(j.classifier, pair_type.domain):
-        _fail(d, "classifier is not the domain")
-
-
-def _check_sig_e2(d: Derivation) -> None:
-    pair_premise, pair_type = _projection_premise(d)
-    j = d.conclusion
-    if not isinstance(j.subject, Snd):
-        _fail(d, "subject is not a second projection")
-    if not alpha_eq(j.subject.pair, pair_premise.conclusion.subject):
-        _fail(d, "projected pair does not match the premise")
-    expected = substitute(
-        pair_type.codomain, pair_type.binder, Fst(pair_premise.conclusion.subject)
-    )
-    if not alpha_eq(j.classifier, expected):
-        _fail(d, "classifier is not the codomain at the first projection")
+    if d.rule == SIG_E1:
+        expected = pair_type.domain
+    else:
+        first = Fst(pair_premise.conclusion.subject)
+        expected = substitute(pair_type.codomain, pair_type.binder, first)
+    if not alpha_eq(d.conclusion.classifier, expected):
+        _fail(d, "classifier is not the projected component's type")
 
 
 def _check_require(d: Derivation) -> None:
@@ -316,26 +314,15 @@ def _check_require(d: Derivation) -> None:
 
 
 def _check_let(d: Derivation) -> None:
-    _premise_count(d, 2)
     j = d.conclusion
-    value_premise, body_premise = d.premises
-    _same_context(d, value_premise)
-    if not isinstance(j.subject, Let):
-        _fail(d, "subject is not a let")
+    annot_premise, value_premise, body_premise = d.premises
+    if not isinstance(annot_premise.conclusion.classifier, Universe):
+        _fail(d, "annotation premise must conclude in a universe")
     if not alpha_eq(value_premise.conclusion.classifier, j.subject.annot):
         _fail(d, "definition type does not match the annotation")
-    binder = _extended_context(d, body_premise, j.subject.annot)
-    rebuilt = Let(
-        binder,
-        j.subject.annot,
-        value_premise.conclusion.subject,
-        body_premise.conclusion.subject,
-    )
-    if not alpha_eq(j.subject, rebuilt):
-        _fail(d, "subject does not rebuild from the premises")
     if not alpha_eq(j.classifier, body_premise.conclusion.classifier):
         _fail(d, "classifier does not match the body premise")
-    if binder in free_vars(j.classifier):
+    if _hypothesis(d)[0] in free_vars(j.classifier):
         _fail(d, "bound variable escapes into the classifier")
 
 
@@ -359,8 +346,8 @@ _CHECKERS = {
     PI_E: _check_pi_e,
     SIG_F: _check_formation,
     SIG_I: _check_sig_i,
-    SIG_E1: _check_sig_e1,
-    SIG_E2: _check_sig_e2,
+    SIG_E1: _check_projection,
+    SIG_E2: _check_projection,
     REQUIRE: _check_require,
     LET: _check_let,
     CONV: _check_conv,

@@ -10,8 +10,8 @@ keeps its type (checked by the tests with an independent re-check).
 from __future__ import annotations
 
 from . import derivations as D
-from .derivations import CheckConfig, Derivation, InvalidDerivation, validate
-from .syntax import App, Context, Fst, Lam, Let, Pair, Pi, Sigma, Signature, Snd, Term
+from .derivations import CheckConfig, Derivation, validate
+from .syntax import Context, Signature, Term
 from .typecheck import infer_all
 
 
@@ -21,12 +21,6 @@ def elaborate(derivation: Derivation) -> Term:
     InvalidDerivation if the tree does not hold together."""
     validate(derivation)
     return _elab(derivation)
-
-
-def _binder_of(premise: Derivation) -> str:
-    # Binder-extending premises record the (possibly freshened) binder as the
-    # newest hypothesis.
-    return premise.conclusion.ctx.entries[-1][0]
 
 
 def _elab(d: Derivation) -> Term:
@@ -39,37 +33,17 @@ def _elab(d: Derivation) -> Term:
 
 
 def _elab_node(d: Derivation) -> Term:
-    premises = d.premises
-    match d.rule:
-        case D.CONST | D.HYP | D.CUMULATIVITY:
-            return d.conclusion.subject
-        case D.PI_F:
-            return Pi(_binder_of(premises[1]), _elab(premises[0]), _elab(premises[1]))
-        case D.SIG_F:
-            return Sigma(_binder_of(premises[1]), _elab(premises[0]), _elab(premises[1]))
-        case D.PI_I:
-            return Lam(_binder_of(premises[0]), _elab(premises[0]))
-        case D.PI_E:
-            return App(_elab(premises[0]), _elab(premises[1]))
-        case D.SIG_I:
-            return Pair(_elab(premises[0]), _elab(premises[1]))
-        case D.SIG_E1:
-            return Fst(_elab(premises[0]))
-        case D.SIG_E2:
-            return Snd(_elab(premises[0]))
-        case D.LET:
-            return Let(
-                _binder_of(premises[1]),
-                d.conclusion.subject.annot,
-                _elab(premises[0]),
-                _elab(premises[1]),
-            )
-        case D.CONV:
-            return _elab(premises[0])
-        case D.REQUIRE:
-            # The witness is already substituted in the second premise.
-            return _elab(premises[1])
-    raise InvalidDerivation(f"unknown rule: {d.rule}")
+    # validate has rejected every rule but these.
+    if d.rule in D.FORMS:
+        # A plain loop: the recursion takes no frame between the _elab calls.
+        parts = []
+        for premise in d.premises:
+            parts.append(_elab(premise))
+        return D.rebuild(d, parts)
+    if d.rule in (D.CONV, D.REQUIRE):
+        # A Require's witness is already substituted in its last premise.
+        return _elab(d.premises[-1])
+    return d.conclusion.subject
 
 
 def elaborate_all(

@@ -422,31 +422,33 @@ def _require(
 
 
 def _infer_let(sig: Signature, ctx: Context, term: Let, cfg: CheckConfig) -> list:
-    #  ctx |- M : A    ctx, x : A |- N : B    x not free in B
-    #  ------------------------------------------------------
-    #          ctx |- let x : A = M in N : B
-    _type_derivations(sig, ctx, term.annot, cfg)
+    #  ctx |- A : Set_i    ctx |- M : A    ctx, x : A |- N : B    x not free in B
+    #  -------------------------------------------------------------------------
+    #                      ctx |- let x : A = M in N : B
+    annot_derivations = _type_derivations(sig, ctx, term.annot, cfg)
     value_derivations = _check(sig, ctx, term.value, term.annot, cfg)
     binder, body = _open_binder(sig, ctx, term.binder, term.body)
     inner = ctx.extend(binder, term.annot)
     body_derivations = _infer(sig, inner, body, cfg)
+    subject = Let(binder, term.annot, term.value, body)
     results = []
     pending = None
-    for value_derivation in value_derivations:
-        for body_derivation in body_derivations:
-            classifier = body_derivation.conclusion.classifier
-            if binder in free_vars(classifier):
-                pending = pending or BinderEscape(binder, classifier)
-                continue
-            subject = Let(binder, term.annot, term.value, body)
-            results.append(
-                Derivation(
-                    LET,
-                    Judgment(sig, ctx, subject, classifier),
-                    (value_derivation, body_derivation),
+    # One reading per witness choice in the annotation, the value and the body.
+    for annot_derivation, _ in annot_derivations:
+        for value_derivation in value_derivations:
+            for body_derivation in body_derivations:
+                classifier = body_derivation.conclusion.classifier
+                if binder in free_vars(classifier):
+                    pending = pending or BinderEscape(binder, classifier)
+                    continue
+                results.append(
+                    Derivation(
+                        LET,
+                        Judgment(sig, ctx, subject, classifier),
+                        (annot_derivation, value_derivation, body_derivation),
+                    )
                 )
-            )
-            _guard(results, cfg)
+                _guard(results, cfg)
     if not results:
         raise pending
     return results

@@ -321,19 +321,22 @@ def typed_pool(
     max_depth: int = 5,
 ) -> list:
     """Grow a pool of well-typed terms bottom-up from the hypotheses and
-    constants: pairs, projections, applications, lambdas, formations, and
-    (optionally) presupposition wrappers around solvable types."""
+    constants: pairs, projections, applications, lambdas, formations, lets,
+    and (optionally) presupposition wrappers around solvable types and lets
+    whose annotation presupposes an entity."""
     pool = [PoolEntry(Var(n), normalize(t), 1, True) for n, t in ctx.entries]
     pool += [PoolEntry(Const(n), normalize(t), 1, True) for n, t in sig.entries]
     pool.append(PoolEntry(Universe(0), Universe(1), 1, True))
     fresh = 0
+    entity = Const("E")
+    entity_in_scope = with_requires and bool(solve(sig, ctx, entity, cfg))
 
     def pick(predicate):
         candidates = [e for e in pool if predicate(e)]
         return rng.choice(candidates) if candidates else None
 
     for _ in range(steps):
-        op = rng.randrange(8)
+        op = rng.randrange(9)
         if op == 0:  # non-dependent pair
             a, b = pick(lambda e: True), pick(lambda e: True)
             if a.depth >= max_depth or b.depth >= max_depth:
@@ -416,6 +419,21 @@ def typed_pool(
             pool.append(
                 PoolEntry(Require(binder, e.type, Var(binder)), e.type, e.depth + 1, True)
             )
+        elif op == 8:  # let around an unrelated body
+            value = pick(lambda e: e.depth < max_depth - 1)
+            body = pick(lambda e: e.inferable and e.depth < max_depth)
+            fresh += 1
+            annot, defined = value.type, value.term
+            if entity_in_scope and rng.random() < 0.5:
+                # A function type whose domain presupposes an entity:
+                # (w : require r : E in P r) -> A, defined by \w. value.
+                predicate = Const(rng.choice(("Man", "Farmer", "Donkey")))
+                goal = Require(f"r{fresh}", entity, App(predicate, Var(f"r{fresh}")))
+                annot = Pi(f"w{fresh}", goal, value.type)
+                defined = Lam(f"w{fresh}", value.term)
+            term = Let(f"l{fresh}", annot, defined, body.term)
+            depth = max(value.depth + 1, body.depth) + 1
+            pool.append(PoolEntry(term, body.type, depth, True))
     return pool
 
 

@@ -122,6 +122,14 @@ def test_elaborate_term_from_file(tmp_path, pctx_file):
     assert out == "SatDown (fst p) : Set0\n"
 
 
+def test_elaborate_resolves_a_presupposition_in_a_let_annotation(pctx_file):
+    term = "let f : (require z : E in Man z) -> Set0 = \\w. E in Man (fst p)"
+    code, out, err = run(["elaborate", "--context", pctx_file, term])
+    assert (code, err) == (0, "")
+    assert "require" not in out
+    assert out == "let f : Man (fst p) -> Set0 = \\w. E in Man (fst p) : Set0\n"
+
+
 def test_solve_discourse_context(pctx_file):
     code, out, err = run(["solve", "--context", pctx_file, "E"])
     assert code == 0
