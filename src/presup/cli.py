@@ -8,12 +8,13 @@ go to stdout, errors to stderr; `--json` output is byte-stable across runs.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections import Counter
 from dataclasses import replace
 
 from .derivations import CheckConfig, dump_json, to_json_dicts
-from .elaborate import elaborate_all
+from .elaborate import elaborate, elaborate_all
 from .evaluator import EvalError, normalize
 from .frontend import (
     ParseError,
@@ -27,7 +28,7 @@ from .frontend import (
 )
 from .lexicon import base_signature
 from .solver import solve
-from .syntax import Context, Universe, format_term
+from .syntax import Context, Universe, alpha_key, format_term
 from .typecheck import TypeCheckError, UnresolvedPresupposition, check_context, check_signature, infer_all
 
 
@@ -136,19 +137,21 @@ def cmd_elaborate(args, sig, ctx, cfg, out, err, instream) -> int:
     return 0
 
 
-def _validated_goal(sig, ctx, text: str, cfg: CheckConfig):
-    """Parse a solver goal and insist it is a type under sig and ctx."""
+def _solve_goal(sig, ctx, text: str, cfg: CheckConfig) -> list:
+    """The witnesses of each distinct elaborated reading of the goal typed by a universe."""
     goal = parse_term(text, sig.names)
-    derivations = infer_all(sig, ctx, goal, cfg)
-    classifiers = [normalize(d.conclusion.classifier, cfg.step_budget) for d in derivations]
-    if not any(isinstance(c, Universe) for c in classifiers):
+    goals = {}
+    for derivation in infer_all(sig, ctx, goal, cfg):
+        if isinstance(normalize(derivation.conclusion.classifier, cfg.step_budget), Universe):
+            elaborated = elaborate(derivation)
+            goals.setdefault(alpha_key(elaborated), elaborated)
+    if not goals:
         raise TypeCheckError(f"{format_term(goal)} is not a type")
-    return goal
+    return [s for elaborated in goals.values() for s in solve(sig, ctx, elaborated, cfg)]
 
 
 def cmd_solve(args, sig, ctx, cfg, out, err, instream) -> int:
-    goal = _validated_goal(sig, ctx, _read_input(args.goal), cfg)
-    solutions = solve(sig, ctx, goal, cfg)
+    solutions = _solve_goal(sig, ctx, _read_input(args.goal), cfg)
     if args.json:
         payload = [
             {
@@ -158,12 +161,11 @@ def cmd_solve(args, sig, ctx, cfg, out, err, instream) -> int:
             for s in solutions
         ]
         _print_json(payload, out)
-        return 0 if solutions else 1
-    if not solutions:
+    elif solutions:
+        _write_solutions(solutions, out)
+    else:
         err.write("no solutions\n")
-        return 1
-    _write_solutions(solutions, out)
-    return 0
+    return 0 if solutions else 1
 
 
 def cmd_repl(args, sig, ctx, cfg, out, err, instream) -> int:
@@ -199,7 +201,7 @@ def _repl_dispatch(line: str, sig, ctx, cfg, out):
     elif command == ":elab":
         _write_elaborations(elaborate_all(sig, ctx, parse_term(rest, sig.names), cfg), out)
     elif command == ":solve":
-        solutions = solve(sig, ctx, _validated_goal(sig, ctx, rest, cfg), cfg)
+        solutions = _solve_goal(sig, ctx, rest, cfg)
         if not solutions:
             out.write("no solutions\n")
         _write_solutions(solutions, out)
@@ -283,6 +285,9 @@ def main(argv=None, out=None, err=None, instream=None) -> int:
         return 2
     except (TypeCheckError, EvalError) as error:
         return _report_semantic_error(error, err)
+    except BrokenPipeError:
+        # The reader has all the output it wants.
+        return 0
     except OSError as error:
         err.write(f"error: {error}\n")
         return 1
@@ -292,4 +297,11 @@ def main(argv=None, out=None, err=None, instream=None) -> int:
 
 
 def entry_point() -> None:
-    sys.exit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The interpreter flushes stdout again at exit, and on a closed pipe
+        # that would print a warning; send what is left to devnull instead.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)

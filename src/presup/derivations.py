@@ -1,8 +1,8 @@
 """Typing judgments, explicit derivation trees, and their re-validation.
 
-A derivation records which rule produced each judgment, so the elaborator can
-walk the tree and the validator can re-check every node against the rule
-shapes alone, independently of the typechecker that built it.
+A derivation records which rule produced each judgment, so the validator can
+re-check every node against the rule shapes alone, independently of the
+typechecker that built it, and in the same walk elaborate the tree.
 """
 
 from __future__ import annotations
@@ -65,19 +65,17 @@ class Derivation:
     witness is present exactly on Require nodes; it is the chosen term whose
     derivation is the first premise.
 
-    Two results are kept on the node once computed, so readings that share a
-    subtree do that work once: _valid is set by the validator after the node
-    and all of its premises have passed, and _elaborated holds the
-    elaborator's term.  Neither can be passed to the constructor, neither
-    takes part in equality, hashing or repr, and dataclasses.replace yields
-    a node without them.
+    One result is kept on the node once computed, so readings that share a
+    subtree do that work once: _elaborated, the node's elaboration, set by
+    the validator after the node and all of its premises have passed.  It
+    cannot be passed to the constructor, takes no part in equality, hashing
+    or repr, and dataclasses.replace yields a node without it.
     """
 
     rule: str
     conclusion: Judgment
     premises: tuple = ()
     witness: Term | None = None
-    _valid: bool = field(default=False, init=False, repr=False, compare=False)
     _elaborated: Term | None = field(default=None, init=False, repr=False, compare=False)
 
 
@@ -98,31 +96,27 @@ class InvalidDerivation(Exception):
     """A derivation node does not follow from its premises by its rule."""
 
 
-def validate(derivation: Derivation) -> None:
-    """Re-check every node of the derivation against the rule shapes.
+def validate(derivation: Derivation) -> Term:
+    """Re-check every node of the derivation against the rule shapes, and
+    return the derivation's elaboration: its subject with every
+    presupposition replaced by the witness recorded for it.
 
     This only pattern-matches: it never runs inference, so it is an
     independent check on whatever produced the tree.  Raises
     InvalidDerivation on the first ill-formed node.  A node that has passed
-    once is marked and not checked again: its validity depends only on its
-    own immutable subtree.
+    once keeps its elaboration and is not checked again: both depend only on
+    its own immutable subtree.
     """
-    _validate(derivation)
-
-
-def _fail(derivation: Derivation, reason: str):
-    subject = format_term(derivation.conclusion.subject)
-    raise InvalidDerivation(f"{derivation.rule} node for {subject}: {reason}")
-
-
-def _validate(derivation: Derivation) -> None:
-    if derivation._valid:
-        return
+    term = derivation._elaborated
+    if term is not None:
+        return term
     conclusion = derivation.conclusion
+    # A plain loop: the recursion takes one frame per derivation level.
+    parts = []
     for premise in derivation.premises:
         if premise.conclusion.sig != conclusion.sig:
             _fail(derivation, "premise under a different signature")
-        _validate(premise)
+        parts.append(validate(premise))
     checker = _CHECKERS.get(derivation.rule)
     if checker is None:
         _fail(derivation, "unknown rule")
@@ -130,8 +124,21 @@ def _validate(derivation: Derivation) -> None:
         _fail(derivation, "witness present iff the rule is Require")
     if derivation.rule in FORMS:
         _check_structure(derivation)
+        term = rebuild(derivation, parts)
+    else:
+        _premise_count(derivation, PREMISE_COUNTS[derivation.rule])
+        for premise in derivation.premises:
+            _same_context(derivation, premise)
+        # A Require's witness is already substituted in its last premise.
+        term = parts[-1] if parts else conclusion.subject
     checker(derivation)
-    object.__setattr__(derivation, "_valid", True)
+    object.__setattr__(derivation, "_elaborated", term)
+    return term
+
+
+def _fail(derivation: Derivation, reason: str):
+    subject = format_term(derivation.conclusion.subject)
+    raise InvalidDerivation(f"{derivation.rule} node for {subject}: {reason}")
 
 
 # The composite rules and the constructor of each one's subject.  Premise i
@@ -148,6 +155,10 @@ FORMS = {
     SIG_E2: Snd,
     LET: Let,
 }
+
+# The other rules and their premise counts; every premise sits under the
+# conclusion's context.
+PREMISE_COUNTS = {CONST: 0, HYP: 0, CUMULATIVITY: 0, CONV: 1, REQUIRE: 2}
 
 
 def rebuild(d: Derivation, parts: list) -> Term:
@@ -197,8 +208,11 @@ def _same_context(derivation: Derivation, premise: Derivation) -> None:
         _fail(derivation, "premise context differs from conclusion context")
 
 
+# The checkers below run after the premise count and contexts are checked,
+# and keep only their typing conditions.
+
+
 def _check_const(d: Derivation) -> None:
-    _premise_count(d, 0)
     j = d.conclusion
     if not isinstance(j.subject, Const):
         _fail(d, "subject is not a constant")
@@ -208,7 +222,6 @@ def _check_const(d: Derivation) -> None:
 
 
 def _check_hyp(d: Derivation) -> None:
-    _premise_count(d, 0)
     j = d.conclusion
     if not isinstance(j.subject, Var):
         _fail(d, "subject is not a variable")
@@ -218,16 +231,11 @@ def _check_hyp(d: Derivation) -> None:
 
 
 def _check_cumulativity(d: Derivation) -> None:
-    _premise_count(d, 0)
     j = d.conclusion
     if not (isinstance(j.subject, Universe) and isinstance(j.classifier, Universe)):
         _fail(d, "subject and classifier must be universes")
     if not j.subject.level < j.classifier.level:
         _fail(d, "universe levels must strictly increase")
-
-
-# The composite rules' checkers below run after _check_structure and keep
-# only their typing conditions.
 
 
 def _check_formation(d: Derivation) -> None:
@@ -293,11 +301,8 @@ def _check_projection(d: Derivation) -> None:
 
 
 def _check_require(d: Derivation) -> None:
-    _premise_count(d, 2)
     j = d.conclusion
     witness_premise, body_premise = d.premises
-    _same_context(d, witness_premise)
-    _same_context(d, body_premise)
     if not isinstance(j.subject, Require):
         _fail(d, "subject is not a presupposition")
     if not alpha_eq(witness_premise.conclusion.subject, d.witness):
@@ -327,10 +332,8 @@ def _check_let(d: Derivation) -> None:
 
 
 def _check_conv(d: Derivation) -> None:
-    _premise_count(d, 1)
     j = d.conclusion
     (premise,) = d.premises
-    _same_context(d, premise)
     if not alpha_eq(premise.conclusion.subject, j.subject):
         _fail(d, "subject changed across a conversion")
     if not convertible(premise.conclusion.classifier, j.classifier):

@@ -18,6 +18,7 @@ with an optional object, `if S, S` conditionals, and `who`-relative clauses.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 
 from . import lexicon
@@ -175,8 +176,14 @@ class _TermParser:
         if kind == "ident":
             return self.name(bound, value)
         if kind == "universe":
-            digits = _UNIVERSE.fullmatch(value).group(1)
-            return Universe(int(digits) if digits else 0)
+            digits = _UNIVERSE.fullmatch(value).group(1) or "0"
+            # int() and str() convert at most `limit` digits, leading zeros
+            # included.  The level's type, the level above it, is printed too,
+            # and it has one digit more when every digit is a 9.
+            limit = sys.get_int_max_str_digits()
+            if limit and len(digits) + (set(digits) == {"9"}) > limit:
+                raise ParseError(pos, f"a universe level of at most {limit} digits, its successor too")
+            return Universe(int(digits))
         if kind == "langle":
             first = self.term(bound)
             self.expect("comma", "',' between pair components")

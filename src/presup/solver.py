@@ -95,6 +95,9 @@ class _Table:
     indices of the spines that have it, in order.  `normalize` returns a
     normal term itself, so the two types differ exactly when they are
     distinct objects.
+
+    Only the head's type is normalized: a normal pair type's domain is normal,
+    and putting the neutral `fst t` for its normal codomain's binder makes no redex.
     """
 
     __slots__ = ("spines", "index")
@@ -105,7 +108,7 @@ class _Table:
         queue = deque([(head, declared, -1, rule, 0)])
         while queue:
             term, raw, parent, rule, length = queue.popleft()
-            spine_type = raw if rule == SIG_E1 else normalize(raw, step_budget)
+            spine_type = normalize(raw, step_budget) if parent < 0 else raw
             normal_key = alpha_key(spine_type)
             position = len(self.spines)
             self.spines.append((term, spine_type, raw, parent, rule))

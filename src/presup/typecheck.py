@@ -326,6 +326,8 @@ def _infer_application(sig: Signature, ctx: Context, term: App, cfg: CheckConfig
             continue
         try:
             arg_derivations = _check(sig, ctx, term.arg, pi.domain, cfg)
+        except BudgetExceeded:
+            raise
         except TypeCheckError as error:
             pending = pending or error
             continue
@@ -357,7 +359,6 @@ def _infer_projection(sig: Signature, ctx: Context, term: Term, cfg: CheckConfig
         else:
             rule, classifier = SIG_E2, substitute(sigma.codomain, sigma.binder, Fst(term.pair))
         results.append(Derivation(rule, Judgment(sig, ctx, term, classifier), (exposed,)))
-        _guard(results, cfg)
     if not results:
         raise pending
     return results
@@ -392,6 +393,8 @@ def _require(
                 body_derivations = _infer(sig, ctx, substituted, cfg)
             else:
                 body_derivations = _check(sig, ctx, substituted, expected, cfg)
+        except BudgetExceeded:
+            raise
         except TypeCheckError as error:
             pending = pending or error
             continue
@@ -474,7 +477,6 @@ def _check(sig: Signature, ctx: Context, term: Term, expected: Term, cfg: CheckC
                     PI_I, Judgment(sig, ctx, subject, normal), (body_derivation,)
                 )
                 results.append(_conv(node, expected) if needs_conv else node)
-                _guard(results, cfg)
             return results
         case Pair(first, second):
             if not isinstance(normal, Sigma):
@@ -516,7 +518,6 @@ def _check(sig: Signature, ctx: Context, term: Term, expected: Term, cfg: CheckC
                     results.append(_conv(derivation, expected))
                 else:
                     pending = pending or TypeMismatch(expected, term, inferred)
-                _guard(results, cfg)
             if not results:
                 raise pending
             return results

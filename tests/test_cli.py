@@ -157,6 +157,18 @@ def test_solve_rejects_non_type_goals():
     assert "unbound name" in err
 
 
+def test_solve_searches_for_the_goal_its_presuppositions_denote(pctx_file):
+    goal = "require x : E in Man x"
+    assert run(["solve", "--context", pctx_file, goal]) == (0, "fst (snd p) : Man (fst p)\n", "")
+    code, out, err = run(["solve", "--context", pctx_file, "--json", goal])
+    assert (code, json.loads(out), err) == (
+        0, [{"type": "Man (fst p)", "witness": "fst (snd p)"}], ""
+    )
+    code, out, err = run(["repl", "--context", pctx_file], stdin=f":solve {goal}\n:quit\n")
+    assert (code, err) == (0, "")
+    assert "> fst (snd p) : Man (fst p)\n" in out
+
+
 def test_solve_respects_depth_flag(donkey_file):
     code, out, err = run(["solve", "--depth", "1", "--context", donkey_file, "E"])
     assert code == 0
@@ -312,6 +324,37 @@ def test_python_dash_m_runs_the_cli(pctx_file):
     assert (result.returncode, result.stdout) == (0, "fst p : E\n")
 
 
+class ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_a_closed_pipe_ends_the_run_quietly():
+    err = io.StringIO()
+    assert main(["check", "--json", "E"], out=ClosedPipe(), err=err) == 0
+    assert err.getvalue() == ""
+
+
+def test_a_reader_that_closes_the_pipe_early_gets_a_quiet_exit(tmp_path):
+    # check --json on the x4 chain writes about a megabyte; the reader takes 10 bytes.
+    text = "A man walked in. He sat down. " * 4
+    term = tmp_path / "term"
+    meaning = presup.interpret(presup.parse_discourse(text))
+    term.write_text(presup.format_term(meaning), encoding="utf-8")
+    package_root = str(Path(presup.__file__).resolve().parents[1])
+    process = subprocess.Popen(
+        [sys.executable, "-m", "presup", "check", "--json", f"@{term}"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": package_root},
+    )
+    assert len(process.stdout.read(10)) == 10
+    process.stdout.close()
+    stderr = process.stderr.read()
+    process.stderr.close()
+    assert (process.wait(timeout=120), stderr) == (0, b"")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -390,6 +433,38 @@ def test_max_derivations_lets_the_x6_chain_elaborate():
     code, out, err = run(["elaborate", "--max-derivations", "719", "--discourse", CHAIN_X6])
     assert code == 1 and "more than 719 derivations" in err
     assert run(["check", "--max-derivations", "1", "E"]) == (0, "Set0, 1 derivation\n", "")
+
+
+@pytest.mark.parametrize(
+    "budget, expected",
+    [
+        ("3", (1, "", "error: more than 3 derivations")),
+        ("4", (1, "", "error: more than 4 derivations")),
+        ("5", (0, "E, 5 derivations\n", "")),
+    ],
+)
+def test_a_witness_over_budget_is_not_taken_for_a_failed_one(tmp_path, budget, expected):
+    # Witness b gives one reading and a gives four; a's alone exceed 3.
+    path = tmp_path / "ctx"
+    path.write_text("a : E\nm1 : Man a\nm2 : Man a\nb : E\nn1 : Man b\n", encoding="utf-8")
+    term = "require x : E in require q : Man x in require r : Man x in x"
+    code, out, err = run(["check", "--context", str(path), "--max-derivations", budget, term])
+    assert (code, out, err.partition(";")[0]) == expected
+
+
+@pytest.mark.parametrize("digits", ["9" * 5000, "9" * 4300, "0" * 5000 + "1"])
+def test_universe_level_too_long_to_print_is_a_syntax_error(digits):
+    limit = sys.get_int_max_str_digits()
+    message = f"a universe level of at most {limit} digits, its successor too"
+    expected = (2, "", f"syntax error: at position 0: expected {message}\n")
+    assert run(["check", f"Set{digits}"]) == expected
+
+
+def test_long_universe_level_within_the_int_limit_prints():
+    expected = (0, "Set100000000000000000000000000, 1 derivation\n", "")
+    assert run(["check", "Set99999999999999999999999999"]) == expected
+    zeros = "0" * (sys.get_int_max_str_digits() - 1)
+    assert run(["check", f"Set{zeros}9"]) == (0, "Set10, 1 derivation\n", "")
 
 
 def test_repl_rejects_json(capsys):

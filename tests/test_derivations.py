@@ -1,7 +1,7 @@
-"""The composite-rule table: every rule is either a composite form of
-derivations.FORMS or one of the five others, and the validator rejects a
-composite node whose premises do not build its subject in the contexts the
-table gives them."""
+"""The rule tables: every rule is either a composite form of
+derivations.FORMS or one of the five others in derivations.PREMISE_COUNTS,
+and the validator rejects a composite node whose premises do not build its
+subject in the contexts the table gives them."""
 
 import dataclasses
 
@@ -60,6 +60,7 @@ def _composite(sig, pctx, rule) -> Derivation:
 @pytest.mark.parametrize("rule", RULES)
 def test_every_rule_is_a_form_or_one_of_five_others(sig, pctx, rule):
     assert rule in D._CHECKERS
+    assert (rule in D.FORMS) != (rule in D.PREMISE_COUNTS)
     if rule not in D.FORMS:
         assert rule in {D.CONST, D.HYP, D.CUMULATIVITY, D.CONV, D.REQUIRE}
         return

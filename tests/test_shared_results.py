@@ -1,10 +1,10 @@
-"""Results kept on the nodes: validity marks, elaborations, and each term's
-free-variable set, alpha key, normal mark, last substitution and printed
-text.  Each is computed once per distinct node, can never vouch for a node
-it was not computed on, and stays invisible to ==, hash and repr."""
+"""Results kept on the nodes: each derivation's elaboration, which marks it
+as validated, and each term's free-variable set, alpha key, normal mark,
+last substitution and printed text.  Each is computed once per distinct
+node, can never vouch for a node it was not computed on, and stays
+invisible to ==, hash and repr."""
 
 import dataclasses
-import importlib
 from collections import Counter
 
 import pytest
@@ -34,9 +34,6 @@ from presup import (
     validate,
 )
 
-# The package's elaborate function shadows its module of the same name.
-E = importlib.import_module("presup.elaborate")
-
 CHAIN_X5 = "A man walked in. He sat down. " * 5
 
 
@@ -61,28 +58,30 @@ def _retyped(derivation, classifier) -> Judgment:
 
 
 def test_tampered_node_over_validated_premises_is_rejected(checked):
-    assert all(premise._valid for premise in checked.premises)
+    assert all(premise._elaborated is not None for premise in checked.premises)
     tampered = Derivation(checked.rule, _retyped(checked, Const("E")), checked.premises)
     assert _message(tampered) == (
         "PiE node for Man (fst p): classifier is not the instantiated codomain"
     )
+    assert tampered._elaborated is None
 
 
 def test_failed_node_stays_unmarked_and_fails_again(sig, checked):
     bogus = Derivation(D.HYP, Judgment(sig, Context(), Var("p"), Const("E")))
     expected = "Hyp node for p: classifier is not the declared hypothesis type"
     assert _message(bogus) == expected
-    assert not bogus._valid
+    assert bogus._elaborated is None
     assert _message(bogus) == expected
     # A node over the failed one fails with it, premise errors first.
     above = Derivation(D.PI_E, checked.conclusion, (checked.premises[0], bogus))
     assert _message(above) == expected
-    assert not above._valid
+    assert above._elaborated is None
 
 
 def test_replace_of_a_validated_node_is_unmarked(sig, checked):
     copy = dataclasses.replace(checked)
-    assert copy == checked and not copy._valid and copy._elaborated is None
+    assert checked._elaborated is not None
+    assert copy == checked and copy._elaborated is None
     retyped = dataclasses.replace(checked, conclusion=_retyped(checked, Const("E")))
     assert _message(retyped) == (
         "PiE node for Man (fst p): classifier is not the instantiated codomain"
@@ -92,66 +91,49 @@ def test_replace_of_a_validated_node_is_unmarked(sig, checked):
     assert _message(swapped) == "Hyp node for p: classifier is not the declared hypothesis type"
 
 
-@pytest.mark.parametrize("mark, value", [("_valid", True), ("_elaborated", Const("E"))])
-def test_constructor_cannot_set_a_mark(checked, mark, value):
+def test_constructor_cannot_set_a_mark(checked):
     with pytest.raises(TypeError):
-        Derivation(checked.rule, checked.conclusion, checked.premises, **{mark: value})
+        Derivation(checked.rule, checked.conclusion, checked.premises, _elaborated=Const("E"))
 
 
-def _distinct(derivations) -> set:
+def _distinct(derivations) -> dict:
+    """Every node under the derivations, by id."""
     seen, stack = {}, list(derivations)
     while stack:
         node = stack.pop()
         if id(node) not in seen:
             seen[id(node)] = node
             stack.extend(node.premises)
-    return set(seen)
-
-
-def _elaborated_nodes(derivations) -> set:
-    # Elaboration follows every premise except a Require's witness premise.
-    seen, stack = {}, list(derivations)
-    while stack:
-        node = stack.pop()
-        if id(node) not in seen:
-            seen[id(node)] = node
-            stack.extend(node.premises[1:] if node.rule == D.REQUIRE else node.premises)
-    return set(seen)
+    return seen
 
 
 def test_each_distinct_node_is_checked_and_elaborated_once(sig, monkeypatch):
     meaning = interpret(parse_discourse(CHAIN_X5))
-    checks, bodies = Counter(), Counter()
+    checks = Counter()
     for rule, checker in D._CHECKERS.items():
         def counted(d, checker=checker):
             checks[id(d)] += 1
             checker(d)
 
         monkeypatch.setitem(D._CHECKERS, rule, counted)
-    elab_node = E._elab_node
-
-    def counted_body(d):
-        bodies[id(d)] += 1
-        return elab_node(d)
-
-    monkeypatch.setattr(E, "_elab_node", counted_body)
 
     derivations = infer_all(sig, Context(), meaning)
     assert len(derivations) == 120
-    for derivation in derivations:
-        validate(derivation)
-    assert set(checks) == _distinct(derivations)
+    terms = [validate(derivation) for derivation in derivations]
+    nodes = _distinct(derivations)
+    assert set(checks) == nodes.keys()
     assert sum(checks.values()) == len(checks) == 785
-    terms = [elaborate(derivation) for derivation in derivations]
+    # Witness premises included, every node keeps its elaboration, and a
+    # second elaboration of a reading checks nothing and returns it.
+    assert all(node._elaborated is not None for node in nodes.values())
+    again_terms = [elaborate(derivation) for derivation in derivations]
     assert sum(checks.values()) == 785
-    assert set(bodies) == _elaborated_nodes(derivations)
-    assert max(bodies.values()) == 1
-    assert [elaborate(derivation) for derivation in derivations] == terms
+    assert all(again is term for again, term in zip(again_terms, terms))
 
     # A fresh infer_all builds fresh nodes, which are checked in full again.
     checks.clear()
     again = infer_all(sig, Context(), meaning)
-    assert not _distinct(derivations) & _distinct(again)
+    assert not nodes.keys() & _distinct(again).keys()
     for derivation in again:
         validate(derivation)
     assert sum(checks.values()) == len(checks) == 785
@@ -183,11 +165,11 @@ def test_kept_results_stay_out_of_eq_hash_and_repr(checked):
     assert "_fv" not in repr(term)
 
     elaborate(checked)
-    assert checked._valid and checked._elaborated is not None
+    assert checked._elaborated is not None
     copy = Derivation(checked.rule, checked.conclusion, checked.premises, checked.witness)
-    assert not copy._valid and copy._elaborated is None
+    assert copy._elaborated is None
     assert (checked, hash(checked), repr(checked)) == (copy, hash(copy), repr(copy))
-    assert "_valid" not in repr(checked) and "_elaborated" not in repr(checked)
+    assert "_elaborated" not in repr(checked)
 
 
 def _man_of(name):
