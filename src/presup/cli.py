@@ -138,7 +138,7 @@ def cmd_elaborate(args, sig, ctx, cfg, out, err, instream) -> int:
 
 
 def _solve_goal(sig, ctx, text: str, cfg: CheckConfig) -> list:
-    """The witnesses of each distinct elaborated reading of the goal typed by a universe."""
+    """The witnesses of the goal's distinct elaborated readings typed by a universe, capped once."""
     goal = parse_term(text, sig.names)
     goals = {}
     for derivation in infer_all(sig, ctx, goal, cfg):
@@ -147,7 +147,8 @@ def _solve_goal(sig, ctx, text: str, cfg: CheckConfig) -> list:
             goals.setdefault(alpha_key(elaborated), elaborated)
     if not goals:
         raise TypeCheckError(f"{format_term(goal)} is not a type")
-    return [s for elaborated in goals.values() for s in solve(sig, ctx, elaborated, cfg)]
+    solutions = [s for elaborated in goals.values() for s in solve(sig, ctx, elaborated, cfg)]
+    return solutions[: cfg.max_solutions_per_require]
 
 
 def cmd_solve(args, sig, ctx, cfg, out, err, instream) -> int:

@@ -62,9 +62,6 @@ class Judgment:
 class Derivation:
     """One derivation node: a rule name, its conclusion, and its premises.
 
-    witness is present exactly on Require nodes; it is the chosen term whose
-    derivation is the first premise.
-
     One result is kept on the node once computed, so readings that share a
     subtree do that work once: _elaborated, the node's elaboration, set by
     the validator after the node and all of its premises have passed.  It
@@ -75,8 +72,14 @@ class Derivation:
     rule: str
     conclusion: Judgment
     premises: tuple = ()
-    witness: Term | None = None
     _elaborated: Term | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def witness(self) -> Term | None:
+        """On a Require node, the chosen term: its first premise's subject."""
+        if self.rule == REQUIRE and self.premises:
+            return self.premises[0].conclusion.subject
+        return None
 
 
 @dataclass(frozen=True)
@@ -87,6 +90,13 @@ class CheckConfig:
     max_solutions_per_require: int = 16
     max_total_derivations: int = 256
     step_budget: int = DEFAULT_STEP_BUDGET
+
+    def __post_init__(self):
+        # The least value of each bound, as the CLI's options accept them.
+        for name, least in (("solver_depth", 0), ("max_solutions_per_require", 1),
+                            ("max_total_derivations", 1), ("step_budget", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
 
 
 DEFAULT_CONFIG = CheckConfig()
@@ -120,8 +130,6 @@ def validate(derivation: Derivation) -> Term:
     checker = _CHECKERS.get(derivation.rule)
     if checker is None:
         _fail(derivation, "unknown rule")
-    if (derivation.witness is not None) != (derivation.rule == REQUIRE):
-        _fail(derivation, "witness present iff the rule is Require")
     if derivation.rule in FORMS:
         _check_structure(derivation)
         term = rebuild(derivation, parts)
@@ -305,11 +313,9 @@ def _check_require(d: Derivation) -> None:
     witness_premise, body_premise = d.premises
     if not isinstance(j.subject, Require):
         _fail(d, "subject is not a presupposition")
-    if not alpha_eq(witness_premise.conclusion.subject, d.witness):
-        _fail(d, "first premise does not derive the witness")
     if not alpha_eq(witness_premise.conclusion.classifier, j.subject.goal_type):
         _fail(d, "witness type does not match the goal")
-    expected_body = substitute(j.subject.body, j.subject.binder, d.witness)
+    expected_body = substitute(j.subject.body, j.subject.binder, witness_premise.conclusion.subject)
     if not alpha_eq(body_premise.conclusion.subject, expected_body):
         _fail(d, "second premise does not derive the substituted body")
     if not alpha_eq(j.classifier, body_premise.conclusion.classifier):

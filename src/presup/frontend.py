@@ -205,7 +205,7 @@ def parse_term(text: str, constants: frozenset | None = None) -> Term:
     """
     if constants is None:
         constants = lexicon.base_signature().names
-    parser = _TermParser(text, frozenset(constants))
+    parser = _TermParser(text, constants)
     term = parser.term(frozenset())
     end = parser.advance()
     if end[0] != "eof":
@@ -287,6 +287,8 @@ class DiscourseTree:
 
 _FILLER = re.compile(r"\(\s*then\s*\)", re.IGNORECASE)
 _WORD = re.compile(r"[a-z']+|,")
+# Outside the alphabet: what _WORD, the periods and the spacing do not cover.
+_STRAY = re.compile(r"[^a-z',.\s]")
 
 
 def _words(sentence: str) -> list:
@@ -366,8 +368,12 @@ class _SentenceParser:
 
 def parse_discourse(text: str) -> DiscourseTree:
     """Parse period-separated controlled-English sentences (case-insensitive;
-    the filler '(then)' is ignored)."""
+    the filler '(then)' is ignored).  Any character but an ASCII letter, an
+    apostrophe, a comma, a period or whitespace is a syntax error."""
     cleaned = _FILLER.sub(" ", text).lower()
+    stray = _STRAY.search(cleaned)
+    if stray is not None:
+        raise ParseError(cleaned.count(".", 0, stray.start()), f"a word (found {stray.group()!r})")
     pieces = [piece.strip() for piece in cleaned.split(".")]
     sentences = []
     position = 0

@@ -90,28 +90,29 @@ def with_spine_tables(fn):
 class _Table:
     """The spines of one head, breadth-first, to a fixed depth.
 
-    Spine i is (term, normal type, classifier before normalization, parent
-    index or -1, rule); `index` maps the alpha key of a normal type to the
-    indices of the spines that have it, in order.  `normalize` returns a
-    normal term itself, so the two types differ exactly when they are
-    distinct objects.
+    Spine i is (term, normal type, parent index or -1, rule); `index` maps
+    the alpha key of a normal type to the indices of the spines that have
+    it, in order.
 
-    Only the head's type is normalized: a normal pair type's domain is normal,
-    and putting the neutral `fst t` for its normal codomain's binder makes no redex.
+    Only the head's type is normalized, and `declared` keeps it as given: a
+    normal pair type's domain is normal, and putting the neutral `fst t` for
+    its normal codomain's binder makes no redex.  `normalize` returns a
+    normal term itself, so the head's two types differ exactly when they are
+    distinct objects.
     """
 
-    __slots__ = ("spines", "index")
+    __slots__ = ("spines", "index", "declared")
 
     def __init__(self, head: Term, declared: Term, rule: str, depth: int, step_budget: int):
         self.spines = []
         self.index = {}
-        queue = deque([(head, declared, -1, rule, 0)])
+        self.declared = declared
+        queue = deque([(head, normalize(declared, step_budget), -1, rule, 0)])
         while queue:
-            term, raw, parent, rule, length = queue.popleft()
-            spine_type = normalize(raw, step_budget) if parent < 0 else raw
+            term, spine_type, parent, rule, length = queue.popleft()
             normal_key = alpha_key(spine_type)
             position = len(self.spines)
-            self.spines.append((term, spine_type, raw, parent, rule))
+            self.spines.append((term, spine_type, parent, rule))
             self.index.setdefault(normal_key, []).append(position)
             if length >= depth or not isinstance(spine_type, Sigma):
                 continue
@@ -125,7 +126,8 @@ class _Table:
         of its ancestors through `built`."""
         if position in built:
             return built[position]
-        term, spine_type, raw, parent, rule = self.spines[position]
+        term, spine_type, parent, rule = self.spines[position]
+        raw = self.declared if parent < 0 else spine_type
         premises = () if parent < 0 else (self.derivation(parent, sig, ctx, built),)
         node = Derivation(rule, Judgment(sig, ctx, term, raw), premises)
         if spine_type is not raw:
@@ -142,8 +144,8 @@ def _view(sig: Signature, ctx: Context, depth: int, step_budget: int) -> tuple:
     view_key = (id(sig), id(ctx), depth, step_budget)
     view = views.get(view_key)
     if view is None:
-        heads = [(Var, HYP, entry) for entry in reversed(ctx.entries)]
-        heads += [(Const, CONST, entry) for entry in sig.entries]
+        heads = [(Var, HYP, entry) for entry in reversed(_looked_up(ctx))]
+        heads += [(Const, CONST, entry) for entry in _looked_up(sig)]
         tables = []
         for make, rule, entry in heads:
             # Entry tuples are shared between a context and its extensions;
@@ -158,6 +160,16 @@ def _view(sig: Signature, ctx: Context, depth: int, step_budget: int) -> tuple:
             tables.append(cached[1])
         view = views[view_key] = (tables, [{} for _ in tables], sig, ctx)
     return view[0], view[1]
+
+
+def _looked_up(telescope) -> tuple:
+    # The entries `lookup` finds, in order: the first of each name.
+    if len(telescope.names) == len(telescope.entries):
+        return telescope.entries
+    first = {}
+    for entry in telescope.entries:
+        first.setdefault(entry[0], entry)
+    return tuple(first.values())
 
 
 @with_spine_tables
@@ -176,40 +188,25 @@ def enumerate_spines(sig: Signature, ctx: Context, depth: int) -> list:
 
 
 @with_spine_tables
-def solve(
-    sig: Signature,
-    ctx: Context,
-    goal: Term,
-    cfg: CheckConfig | None = None,
-    *,
-    capped: bool = True,
-) -> list:
-    """All spine witnesses whose type is convertible with the goal.
+def solve(sig: Signature, ctx: Context, goal: Term, cfg: CheckConfig | None = None) -> list:
+    """Every spine witness whose type is convertible with the goal, in the
+    order of `enumerate_spines`.
 
-    Order is that of `enumerate_spines`, duplicates (up to alpha on the
-    witness) are dropped, and the list holds at most the configured number
-    of witnesses unless `capped` is false.  An empty list means the
-    presupposition is unresolved in this context; that is the caller's
-    error to report.
+    The witnesses are distinct, since each name is searched once, through
+    the entry `lookup` finds.  An empty list means the presupposition is
+    unresolved in this context.  Reporting that, and capping the list, are
+    the caller's business.
     """
     cfg = cfg or DEFAULT_CONFIG
-    limit = cfg.max_solutions_per_require if capped else None
     tables, built = _view(sig, ctx, cfg.solver_depth, cfg.step_budget)
     # Spine types are normal, so convertibility with the goal is equality
     # of alpha keys with the goal's normal form.
     normal_goal = normalize(goal, cfg.step_budget)
     normal_key = alpha_key(normal_goal)
     solutions = []
-    seen = set()
     for table, table_built in zip(tables, built):
         for position in table.index.get(normal_key, ()):
-            if limit is not None and len(solutions) >= limit:
-                return solutions
             term = table.spines[position][0]
-            key = alpha_key(term)
-            if key in seen:
-                continue
-            seen.add(key)
             derivation = table.derivation(position, sig, ctx, table_built)
             if normal_goal is not goal:
                 derivation = Derivation(CONV, Judgment(sig, ctx, term, goal), (derivation,))

@@ -332,17 +332,18 @@ class Telescope:
     def extend(self, name: str, entry_type: Term) -> "Telescope":
         return Telescope(self.entries + ((name, entry_type),))
 
-    # Both caches are built on first use and kept in the instance dict, out
-    # of the dataclass fields, so ==, hash and repr see the entries only.
+    # Built on first use and kept in the instance dict, out of the dataclass
+    # fields, so ==, hash and repr see the entries only.
     @cached_property
     def _types(self) -> dict:
         # Reversed, so the first entry of a repeated name wins, as a left
         # scan would find it.
         return dict(reversed(self.entries))
 
-    @cached_property
-    def names(self) -> frozenset[str]:
-        return frozenset(self._types)
+    # The distinct names: a view of the lookup table's keys, not a copy.
+    @property
+    def names(self):
+        return self._types.keys()
 
 
 # The two roles a telescope plays in a judgment.

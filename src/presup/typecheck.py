@@ -375,7 +375,7 @@ def _require(
     # inferred, or checked against `expected` when that is given (and then B
     # is `expected`).
     _type_derivations(sig, ctx, term.goal_type, cfg)
-    solutions = solve(sig, ctx, term.goal_type, cfg, capped=False)
+    solutions = solve(sig, ctx, term.goal_type, cfg)
     if not solutions:
         raise UnresolvedPresupposition(term.goal_type, ctx)
     avoid = frozenset() if expected is None else free_vars(expected)
@@ -408,14 +408,8 @@ def _require(
             else:
                 # The binder was renamed away from the free names of expected.
                 classifier = expected
-            results.append(
-                Derivation(
-                    REQUIRE,
-                    Judgment(sig, ctx, subject, classifier),
-                    (solution.derivation, body_derivation),
-                    witness=solution.witness,
-                )
-            )
+            premises = (solution.derivation, body_derivation)
+            results.append(Derivation(REQUIRE, Judgment(sig, ctx, subject, classifier), premises))
             _guard(results, cfg)
         if len(results) > before:
             accepted += 1

@@ -523,3 +523,51 @@ def test_main_builds_no_argument_parser(monkeypatch, pctx_file):
     assert built == []
     argparse.ArgumentParser(prog="probe")
     assert built == ["probe"]
+
+
+def test_max_solutions_caps_the_witnesses_of_all_readings_of_a_goal(tmp_path):
+    # The goal has two readings, Man b and Man a, with one and two witnesses.
+    path = tmp_path / "ctx"
+    path.write_text("a : E\nm1 : Man a\nm2 : Man a\nb : E\nn1 : Man b\n", encoding="utf-8")
+    goal = "require x : E in Man x"
+    options = ["--context", str(path), "--max-solutions", "2"]
+    assert run(["solve", *options, goal]) == (0, "n1 : Man b\nm2 : Man a\n", "")
+    code, out, err = run(["solve", *options, "--json", goal])
+    expected = [{"type": "Man b", "witness": "n1"}, {"type": "Man a", "witness": "m2"}]
+    assert (code, json.loads(out), err) == (0, expected, "")
+    code, out, err = run(["repl", *options], stdin=f":solve {goal}\n:quit\n")
+    assert (code, err) == (0, "")
+    assert "> n1 : Man b\nm2 : Man a\n> " in out
+    code, out, err = run(["solve", "--context", str(path), goal])
+    assert (code, out, err) == (0, "n1 : Man b\nm2 : Man a\nm1 : Man a\n", "")
+
+
+@pytest.mark.parametrize(
+    "text, position, found",
+    [
+        ("A man walked in 5.", 0, "5"),
+        ("A man walked-in.", 0, "-"),
+        ("A man walked in!!! He sat down?", 0, "!"),
+        ("A man walked in. He sat down. 3", 2, "3"),
+    ],
+    ids=["digit", "hyphen", "bangs", "third-sentence"],
+)
+def test_discourse_rejects_characters_outside_its_alphabet(text, position, found):
+    message = f"syntax error: at position {position}: expected a word (found {found!r})\n"
+    assert run(["elaborate", "--discourse", text]) == (2, "", message)
+
+
+def test_discourse_alphabet_keeps_paper_examples_filler_and_line_breaks(tmp_path):
+    for text in (
+        "A man walked in. He sat down.",
+        "If a farmer owns a donkey, he beats it.",
+        "Every farmer who owns a donkey beats it.",
+        "A farmer owns a donkey. The farmer beats the donkey.",
+    ):
+        code, out, err = run(["elaborate", "--discourse", text])
+        assert (code, err) == (0, "") and out
+    plain = run(["elaborate", "--discourse", "A man walked in. The man sat down."])
+    assert run(["elaborate", "--discourse", "A man walked in. The man (then) sat down."]) == plain
+    path = tmp_path / "discourse"
+    path.write_text("A man walked in.\n\tThe man (THEN)\nsat down.\n", encoding="utf-8")
+    assert run(["elaborate", "--discourse", f"@{path}"]) == plain

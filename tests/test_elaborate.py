@@ -53,16 +53,12 @@ def test_elaborate_rejects_invalid_derivations(sig):
         elaborate(bogus)
 
 
-@pytest.mark.parametrize(
-    "rule, witness, reason",
-    [("Magic", None, "unknown rule"), ("Cumulativity", Universe(0), "witness present iff")],
-)
-def test_validator_rejects_unknown_rules_and_stray_witnesses(sig, rule, witness, reason):
+def test_validator_rejects_unknown_rules(sig):
     judgment = Judgment(sig, Context(), Universe(0), Universe(1))
-    bogus = Derivation(rule, judgment, witness=witness)
-    with pytest.raises(InvalidDerivation, match=reason):
+    bogus = Derivation("Magic", judgment)
+    with pytest.raises(InvalidDerivation, match="unknown rule"):
         validate(bogus)
-    with pytest.raises(InvalidDerivation, match=reason):
+    with pytest.raises(InvalidDerivation, match="unknown rule"):
         elaborate(bogus)
 
 

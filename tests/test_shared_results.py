@@ -166,7 +166,7 @@ def test_kept_results_stay_out_of_eq_hash_and_repr(checked):
 
     elaborate(checked)
     assert checked._elaborated is not None
-    copy = Derivation(checked.rule, checked.conclusion, checked.premises, checked.witness)
+    copy = Derivation(checked.rule, checked.conclusion, checked.premises)
     assert copy._elaborated is None
     assert (checked, hash(checked), repr(checked)) == (copy, hash(copy), repr(copy))
     assert "_elaborated" not in repr(checked)

@@ -131,15 +131,6 @@ def test_solve_monotone_under_context_growth(sig, pctx):
     assert base <= grown
 
 
-def test_solve_truncates_at_max_solutions(sig):
-    ctx = Context()
-    for index in range(5):
-        ctx = ctx.extend(f"e{index}", ENTITY)
-    cfg = CheckConfig(max_solutions_per_require=3)
-    assert len(solve(sig, ctx, ENTITY, cfg)) == 3
-    assert len(solve(sig, ctx, ENTITY)) == 5
-
-
 def test_solve_witnesses_are_require_free(sig, donkey_ctx):
     from presup import contains_require
 
@@ -207,13 +198,16 @@ def test_solve_equals_reference_scan(sig, pctx, donkey_ctx, depth):
         # Fst <E, E> is convertible with E but not alpha-equal to it.
         goals = [ENTITY, Universe(0), Fst(Pair(ENTITY, ENTITY))]
         goals += [spine_type for _, spine_type, _ in rng.sample(spines, min(3, len(spines)))]
-        for cap in (1, 3, 16):
-            cfg = CheckConfig(solver_depth=depth, max_solutions_per_require=cap)
-            for goal in goals:
-                solutions = solve(sig, ctx, goal, cfg)
-                assert solutions == reference_solve(sig, ctx, goal, cfg)
-                for solution in solutions:
-                    validate(solution.derivation)
+        # solve returns every witness; the reference scan stops at the cap.
+        above = CheckConfig(solver_depth=depth, max_solutions_per_require=len(spines) + 1)
+        for goal in goals:
+            solutions = solve(sig, ctx, goal, above)
+            assert solutions == reference_solve(sig, ctx, goal, above)
+            for cap in (1, 3, 16):
+                cfg = CheckConfig(solver_depth=depth, max_solutions_per_require=cap)
+                assert solve(sig, ctx, goal, cfg)[:cap] == reference_solve(sig, ctx, goal, cfg)
+            for solution in solutions:
+                validate(solution.derivation)
 
 
 @pytest.mark.parametrize("depth", [0, 1, 4, 8])
@@ -224,16 +218,13 @@ def test_enumerate_spines_order_equals_reference_scan(sig, pctx, donkey_ctx, dep
         assert enumerate_spines(sig, ctx, depth) == expected
 
 
-def test_solve_with_zero_cap_returns_nothing(sig, pctx):
-    assert solve(sig, pctx, ENTITY, CheckConfig(max_solutions_per_require=0)) == []
-
-
 def test_uncapped_solve_returns_every_witness_in_order(sig):
+    # The cap is the callers' to apply: _require's and the CLI's.
     ctx = Context()
     for index in range(20):
         ctx = ctx.extend(f"e{index}", ENTITY)
     cfg = CheckConfig(max_solutions_per_require=3)
-    witnesses = [str(s.witness) for s in solve(sig, ctx, ENTITY, cfg, capped=False)]
+    witnesses = [str(s.witness) for s in solve(sig, ctx, ENTITY, cfg)]
     assert witnesses == [f"e{index}" for index in reversed(range(20))]
 
 
@@ -328,3 +319,16 @@ def test_solves_in_one_call_share_spine_derivations(sig, pctx):
         (again,) = solve(sig, pctx, goal)
         assert again.derivation == first[0].derivation
         assert again.derivation is not first[0].derivation
+
+
+def test_a_repeated_name_is_searched_once_through_the_entry_lookup_finds(sig):
+    # An unchecked context: lookup, and so the validator, sees a : E.
+    man_a = App(Const("Man"), Var("a"))
+    ctx = Context().extend("a", ENTITY).extend("a", man_a)
+    hypotheses = [(term, ty) for term, ty in enumerate_spines(sig, ctx, 8) if isinstance(term, Var)]
+    assert hypotheses == [(Var("a"), ENTITY)]
+    for goal in (ENTITY, man_a):
+        for solution in solve(sig, ctx, goal):
+            validate(solution.derivation)
+    assert [s.witness for s in solve(sig, ctx, ENTITY)][:1] == [Var("a")]
+    assert solve(sig, ctx, man_a) == []

@@ -17,6 +17,7 @@ from presup import (
     NotAPair,
     Pair,
     Pi,
+    Require,
     Sigma,
     Signature,
     TypeMismatch,
@@ -378,6 +379,29 @@ def test_require_cap_counts_witnesses_whose_body_checks(sig):
     witnesses = [d.witness for d in infer_all(sig, ctx, term, cfg)]
     assert witnesses == [Var("e19"), Var("e18"), Var("e17")]
     assert len(infer_all(sig, ctx, term)) == 16
+
+
+def test_require_in_a_repeated_name_context_sees_the_entry_lookup_finds(sig):
+    # Unchecked (a : E, a : Man a): a is an entity, so nothing proves Man a.
+    man_a = App(Const("Man"), Var("a"))
+    ctx = Context().extend("a", ENTITY).extend("a", man_a)
+    with pytest.raises(UnresolvedPresupposition):
+        infer_all(sig, ctx, Require("x", man_a, Var("x")))
+
+
+@pytest.mark.parametrize(
+    "field, minimum",
+    [
+        ("solver_depth", 0),
+        ("max_solutions_per_require", 1),
+        ("max_total_derivations", 1),
+        ("step_budget", 0),
+    ],
+)
+def test_check_config_bounds_have_a_minimum(field, minimum):
+    assert getattr(CheckConfig(**{field: minimum}), field) == minimum
+    with pytest.raises(ValueError, match=f"^{field} must be at least {minimum}, got {minimum - 1}$"):
+        CheckConfig(**{field: minimum - 1})
 
 
 def test_definite_resolves_past_fifteen_later_entities(sig):
