@@ -228,6 +228,21 @@ def test_uncapped_solve_returns_every_witness_in_order(sig):
     assert witnesses == [f"e{index}" for index in reversed(range(20))]
 
 
+def test_solve_truncates_at_max_solutions(sig):
+    # solve finds all five witnesses; require and the solve command keep three.
+    from presup import Require, infer_all
+    from presup.cli import _solve_goal
+
+    ctx = Context()
+    for index in range(5):
+        ctx = ctx.extend(f"e{index}", ENTITY)
+    cfg = CheckConfig(max_solutions_per_require=3)
+    assert len(solve(sig, ctx, ENTITY, cfg)) == 5
+    assert len(infer_all(sig, ctx, Require("x", ENTITY, Var("x")), cfg)) == 3
+    assert len(_solve_goal(sig, ctx, "E", cfg)) == 3
+    assert len(_solve_goal(sig, ctx, "E", CheckConfig())) == 5
+
+
 def test_no_solver_state_survives_top_level_calls(sig, pctx):
     from presup import infer_all, parse_term, solver
 
