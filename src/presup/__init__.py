@@ -64,7 +64,6 @@ from .syntax import (
     contains_require,
     format_term,
     free_vars,
-    nested_proj,
     substitute,
 )
 from .typecheck import (

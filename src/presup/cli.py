@@ -14,8 +14,8 @@ from collections import Counter
 from dataclasses import replace
 
 from .derivations import CheckConfig, dump_json, to_json_dicts
-from .elaborate import elaborate, elaborate_all
-from .evaluator import EvalError, normalize
+from .elaborate import elaborate_all
+from .evaluator import EvalError
 from .frontend import (
     ParseError,
     UnknownWord,
@@ -27,9 +27,9 @@ from .frontend import (
     parse_term,
 )
 from .lexicon import base_signature
-from .solver import solve
-from .syntax import Context, Universe, alpha_key, format_term
-from .typecheck import TypeCheckError, UnresolvedPresupposition, check_context, check_signature, infer_all
+from .syntax import Context, format_term
+from .typecheck import (TypeCheckError, UnresolvedPresupposition, check_context,
+                        check_signature, goal_witnesses, infer_all)
 
 
 _TOO_DEEP = "error: input nested too deeply (Python recursion limit reached)"
@@ -138,17 +138,9 @@ def cmd_elaborate(args, sig, ctx, cfg, out, err, instream) -> int:
 
 
 def _solve_goal(sig, ctx, text: str, cfg: CheckConfig) -> list:
-    """The witnesses of the goal's distinct elaborated readings typed by a universe, capped once."""
-    goal = parse_term(text, sig.names)
-    goals = {}
-    for derivation in infer_all(sig, ctx, goal, cfg):
-        if isinstance(normalize(derivation.conclusion.classifier, cfg.step_budget), Universe):
-            elaborated = elaborate(derivation)
-            goals.setdefault(alpha_key(elaborated), elaborated)
-    if not goals:
-        raise TypeCheckError(f"{format_term(goal)} is not a type")
-    solutions = [s for elaborated in goals.values() for s in solve(sig, ctx, elaborated, cfg)]
-    return solutions[: cfg.max_solutions_per_require]
+    """The witnesses of the goal's readings, as `require` finds them, capped once."""
+    witnesses = goal_witnesses(sig, ctx, parse_term(text, sig.names), cfg)
+    return [solution for _, solution in witnesses[: cfg.max_solutions_per_require]]
 
 
 def cmd_solve(args, sig, ctx, cfg, out, err, instream) -> int:

@@ -76,9 +76,9 @@ class Derivation:
 
     @property
     def witness(self) -> Term | None:
-        """On a Require node, the chosen term: its first premise's subject."""
-        if self.rule == REQUIRE and self.premises:
-            return self.premises[0].conclusion.subject
+        """On a Require node, the chosen term: its next-to-last premise's subject."""
+        if self.rule == REQUIRE and len(self.premises) > 1:
+            return self.premises[-2].conclusion.subject
         return None
 
 
@@ -165,8 +165,9 @@ FORMS = {
 }
 
 # The other rules and their premise counts; every premise sits under the
-# conclusion's context.
-PREMISE_COUNTS = {CONST: 0, HYP: 0, CUMULATIVITY: 0, CONV: 1, REQUIRE: 2}
+# conclusion's context.  A Require node whose goal presupposes has the goal's
+# type derivation as a first, third premise.
+PREMISE_COUNTS = {CONST: (0,), HYP: (0,), CUMULATIVITY: (0,), CONV: (1,), REQUIRE: (2, 3)}
 
 
 def rebuild(d: Derivation, parts: list) -> Term:
@@ -189,7 +190,7 @@ def _check_structure(d: Derivation) -> None:
     # What every composite rule shares: the subject rebuilds from the
     # premises, which sit under the contexts the table gives them.
     _, fields, scope = _SHAPES[FORMS[d.rule]]
-    _premise_count(d, len(fields) + (scope is not None))
+    _premise_count(d, (len(fields) + (scope is not None),))
     premises = d.premises
     for premise in premises[: len(fields)]:
         _same_context(d, premise)
@@ -206,9 +207,9 @@ def _check_structure(d: Derivation) -> None:
         _fail(d, "subject does not rebuild from the premises")
 
 
-def _premise_count(derivation: Derivation, count: int) -> None:
-    if len(derivation.premises) != count:
-        _fail(derivation, f"expected {count} premises, got {len(derivation.premises)}")
+def _premise_count(d: Derivation, counts: tuple) -> None:
+    if len(d.premises) not in counts:
+        _fail(d, f"expected {' or '.join(map(str, counts))} premises, got {len(d.premises)}")
 
 
 def _same_context(derivation: Derivation, premise: Derivation) -> None:
@@ -310,10 +311,19 @@ def _check_projection(d: Derivation) -> None:
 
 def _check_require(d: Derivation) -> None:
     j = d.conclusion
-    witness_premise, body_premise = d.premises
+    witness_premise, body_premise = d.premises[-2:]
     if not isinstance(j.subject, Require):
         _fail(d, "subject is not a presupposition")
-    if not alpha_eq(witness_premise.conclusion.classifier, j.subject.goal_type):
+    goal = j.subject.goal_type
+    if len(d.premises) == 3:
+        # The goal presupposes, and the witness is typed by its reading: the
+        # goal premise's elaboration.
+        if not alpha_eq(d.premises[0].conclusion.subject, goal):
+            _fail(d, "goal premise does not derive the goal")
+        if not isinstance(d.premises[0].conclusion.classifier, Universe):
+            _fail(d, "goal premise must conclude in a universe")
+        goal = validate(d.premises[0])
+    if not alpha_eq(witness_premise.conclusion.classifier, goal):
         _fail(d, "witness type does not match the goal")
     expected_body = substitute(j.subject.body, j.subject.binder, witness_premise.conclusion.subject)
     if not alpha_eq(body_premise.conclusion.subject, expected_body):

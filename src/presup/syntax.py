@@ -287,20 +287,6 @@ def alpha_eq(a: Term, b: Term) -> bool:
     return a is b or a == b or alpha_key(a) == alpha_key(b)
 
 
-def nested_proj(term: Term, index: int) -> Term:
-    """The index-th component of a right-nested tuple: fst (snd^(index-1) term).
-
-    Purely syntactic; the caller is responsible for index being consistent
-    with the tuple's type (the last component of a tuple is its own snd-spine,
-    not a projection of one).
-    """
-    if index < 1:
-        raise ValueError("component index must be >= 1")
-    for _ in range(index - 1):
-        term = Snd(term)
-    return Fst(term)
-
-
 def contains_require(term: Term) -> bool:
     """True iff a presupposition node occurs anywhere in term."""
     match term:
@@ -308,6 +294,11 @@ def contains_require(term: Term) -> bool:
             return False
         case Require():
             return True
+        # The shapes of a typical presupposition goal, walked without _shape.
+        case App(fun, arg):
+            return contains_require(fun) or contains_require(arg)
+        case Fst(pair) | Snd(pair):
+            return contains_require(pair)
     _, fields, scope = _shape(term)
     for field in fields:
         if contains_require(getattr(term, field)):

@@ -4,9 +4,10 @@ Checking is bidirectional: introduction forms (lambdas, pairs) are checked
 against a type and everything else infers.  A term containing presupposition
 nodes has one derivation per way the solver can discharge them, so the main
 entry points return lists, in the solver's deterministic order.  No two
-readings coincide: only a presupposition branches, the solver returns
-alpha-distinct witnesses, and a witness is a projection spine that adds no
-presupposition of its own, so distinct readings choose distinct witnesses.
+readings coincide: only a presupposition branches, over the alpha-distinct
+witnesses of its goal's readings, which have distinct normal forms; and a
+witness is a projection spine that adds no presupposition of its own, so
+distinct readings choose distinct witnesses.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .derivations import (
     CheckConfig,
     Derivation,
     Judgment,
+    validate,
 )
 from .evaluator import convertible, normalize
 from .solver import solve, with_spine_tables
@@ -49,6 +51,8 @@ from .syntax import (
     Universe,
     Var,
     alpha_eq,
+    alpha_key,
+    contains_require,
     format_term,
     free_vars,
     fresh_name,
@@ -208,9 +212,48 @@ def check_all(
     return _check(sig, ctx, term, expected, cfg or DEFAULT_CONFIG)
 
 
-def _guard(results: list, cfg: CheckConfig) -> None:
-    if len(results) > cfg.max_total_derivations:
-        raise BudgetExceeded(cfg.max_total_derivations)
+@with_spine_tables
+def goal_witnesses(sig: Signature, ctx: Context, goal: Term, cfg: CheckConfig) -> list:
+    """A goal type's witnesses as (goal premises, Solution) pairs, reading by
+    reading, each in the solver's order.  A require-free goal is its own
+    reading, searched as written with no goal premise.  A goal that
+    presupposes has one reading per normal form of its elaborations: the
+    first such elaboration, searched with its type derivation as premise."""
+    derivations = _type_derivations(sig, ctx, goal, cfg)
+    # This call's spine tables are set, so solve's own scope is skipped.
+    if not contains_require(goal):
+        return [((), solution) for solution in solve.__wrapped__(sig, ctx, goal, cfg)]
+    readings = {}
+    for derivation, _ in derivations:
+        normal = normalize(validate(derivation), cfg.step_budget)
+        readings.setdefault(alpha_key(normal), derivation)
+    return [((derivation,), solution) for derivation in readings.values()
+            for solution in solve.__wrapped__(sig, ctx, validate(derivation), cfg)]
+
+
+class _Alternatives:
+    """A rule's derivations in reading order, and the first error of an
+    alternative that failed; the derivation budget is checked here only."""
+
+    __slots__ = ("derivations", "pending", "cfg")
+
+    def __init__(self, cfg: CheckConfig):
+        self.derivations = []
+        self.pending = None
+        self.cfg = cfg
+
+    def add(self, derivation: Derivation) -> None:
+        self.derivations.append(derivation)
+        if len(self.derivations) > self.cfg.max_total_derivations:
+            raise BudgetExceeded(self.cfg.max_total_derivations)
+
+    def note(self, error: TypeCheckError) -> None:
+        self.pending = self.pending or error
+
+    def result(self) -> list:
+        if not self.derivations:
+            raise self.pending
+        return self.derivations
 
 
 def _conv(derivation: Derivation, classifier: Term) -> Derivation:
@@ -298,93 +341,82 @@ def _infer_formation(sig: Signature, ctx: Context, term: Term, cfg: CheckConfig)
     inner = ctx.extend(binder, term.domain)
     cod_derivations = _type_derivations(sig, inner, codomain, cfg)
     subject = shape(binder, term.domain, codomain)
-    results = []
+    found = _Alternatives(cfg)
     for dom_derivation, dom_level in dom_derivations:
         for cod_derivation, cod_level in cod_derivations:
             classifier = Universe(max(dom_level, cod_level))
-            results.append(
+            found.add(
                 Derivation(
                     rule,
                     Judgment(sig, ctx, subject, classifier),
                     (dom_derivation, cod_derivation),
                 )
             )
-            _guard(results, cfg)
-    return results
+    return found.result()
 
 
 def _infer_application(sig: Signature, ctx: Context, term: App, cfg: CheckConfig) -> list:
     #  ctx |- F : (x : A) -> B    ctx |- N : A
     #  ---------------------------------------
     #         ctx |- F N : [N/x]B
-    results = []
-    pending = None
+    found = _Alternatives(cfg)
     for fun_derivation in _infer(sig, ctx, term.fun, cfg):
         exposed, pi = _expose(fun_derivation, Pi, cfg)
         if pi is None:
-            pending = pending or NotAFunction(term.fun, fun_derivation.conclusion.classifier)
+            found.note(NotAFunction(term.fun, fun_derivation.conclusion.classifier))
             continue
         try:
             arg_derivations = _check(sig, ctx, term.arg, pi.domain, cfg)
         except BudgetExceeded:
             raise
         except TypeCheckError as error:
-            pending = pending or error
+            found.note(error)
             continue
         classifier = substitute(pi.codomain, pi.binder, term.arg)
         for arg_derivation in arg_derivations:
-            results.append(
-                Derivation(
-                    PI_E,
-                    Judgment(sig, ctx, term, classifier),
-                    (exposed, arg_derivation),
-                )
+            found.add(
+                Derivation(PI_E, Judgment(sig, ctx, term, classifier), (exposed, arg_derivation))
             )
-            _guard(results, cfg)
-    if not results:
-        raise pending
-    return results
+    return found.result()
 
 
 def _infer_projection(sig: Signature, ctx: Context, term: Term, cfg: CheckConfig) -> list:
-    results = []
-    pending = None
+    found = _Alternatives(cfg)
     for pair_derivation in _infer(sig, ctx, term.pair, cfg):
         exposed, sigma = _expose(pair_derivation, Sigma, cfg)
         if sigma is None:
-            pending = pending or NotAPair(term.pair, pair_derivation.conclusion.classifier)
+            found.note(NotAPair(term.pair, pair_derivation.conclusion.classifier))
             continue
         if isinstance(term, Fst):
             rule, classifier = SIG_E1, sigma.domain
         else:
             rule, classifier = SIG_E2, substitute(sigma.codomain, sigma.binder, Fst(term.pair))
-        results.append(Derivation(rule, Judgment(sig, ctx, term, classifier), (exposed,)))
-    if not results:
-        raise pending
-    return results
+        found.add(Derivation(rule, Judgment(sig, ctx, term, classifier), (exposed,)))
+    return found.result()
 
 
 def _require(
     sig: Signature, ctx: Context, term: Require, cfg: CheckConfig, expected: Term | None = None
 ) -> list:
-    #  ctx |- M : A    ctx |- [M/x]N : B    x not free in B
-    #  ----------------------------------------------------
-    #          ctx |- require x : A in N : B
-    # One derivation per witness M for A, in the solver's order, up to the
+    #  [ctx |- A : Set_i]    ctx |- M : A'    ctx |- [M/x]N : B    x not free in B
+    #  --------------------------------------------------------------------------
+    #                     ctx |- require x : A in N : B
+    # One derivation per witness M for a reading A' of A (A itself when A
+    # presupposes nothing, else an elaboration of A, whose type derivation is
+    # then the first premise), in the order of goal_witnesses, up to the
     # configured number of witnesses whose body goes through.  The body is
     # inferred, or checked against `expected` when that is given (and then B
-    # is `expected`).
-    _type_derivations(sig, ctx, term.goal_type, cfg)
-    solutions = solve(sig, ctx, term.goal_type, cfg)
-    if not solutions:
+    # is `expected`).  The spine tables of the typechecker's call are set, so
+    # the goal step's own scope is skipped.
+    witnesses = goal_witnesses.__wrapped__(sig, ctx, term.goal_type, cfg)
+    if not witnesses:
         raise UnresolvedPresupposition(term.goal_type, ctx)
     avoid = frozenset() if expected is None else free_vars(expected)
     binder, body = _open_binder(sig, ctx, term.binder, term.body, avoid)
     subject = Require(binder, term.goal_type, body)
-    results = []
-    pending = None
+    found = _Alternatives(cfg)
     accepted = 0
-    for solution in solutions:
+    for goal_premises, solution in witnesses:
         if accepted >= cfg.max_solutions_per_require:
             break
         substituted = substitute(body, binder, solution.witness)
@@ -396,26 +428,23 @@ def _require(
         except BudgetExceeded:
             raise
         except TypeCheckError as error:
-            pending = pending or error
+            found.note(error)
             continue
-        before = len(results)
+        before = len(found.derivations)
         for body_derivation in body_derivations:
             if expected is None:
                 classifier = body_derivation.conclusion.classifier
                 if binder in free_vars(classifier):
-                    pending = pending or BinderEscape(binder, classifier)
+                    found.note(BinderEscape(binder, classifier))
                     continue
             else:
                 # The binder was renamed away from the free names of expected.
                 classifier = expected
-            premises = (solution.derivation, body_derivation)
-            results.append(Derivation(REQUIRE, Judgment(sig, ctx, subject, classifier), premises))
-            _guard(results, cfg)
-        if len(results) > before:
+            premises = (*goal_premises, solution.derivation, body_derivation)
+            found.add(Derivation(REQUIRE, Judgment(sig, ctx, subject, classifier), premises))
+        if len(found.derivations) > before:
             accepted += 1
-    if not results:
-        raise pending
-    return results
+    return found.result()
 
 
 def _infer_let(sig: Signature, ctx: Context, term: Let, cfg: CheckConfig) -> list:
@@ -428,27 +457,23 @@ def _infer_let(sig: Signature, ctx: Context, term: Let, cfg: CheckConfig) -> lis
     inner = ctx.extend(binder, term.annot)
     body_derivations = _infer(sig, inner, body, cfg)
     subject = Let(binder, term.annot, term.value, body)
-    results = []
-    pending = None
+    found = _Alternatives(cfg)
     # One reading per witness choice in the annotation, the value and the body.
     for annot_derivation, _ in annot_derivations:
         for value_derivation in value_derivations:
             for body_derivation in body_derivations:
                 classifier = body_derivation.conclusion.classifier
                 if binder in free_vars(classifier):
-                    pending = pending or BinderEscape(binder, classifier)
+                    found.note(BinderEscape(binder, classifier))
                     continue
-                results.append(
+                found.add(
                     Derivation(
                         LET,
                         Judgment(sig, ctx, subject, classifier),
                         (annot_derivation, value_derivation, body_derivation),
                     )
                 )
-                _guard(results, cfg)
-    if not results:
-        raise pending
-    return results
+    return found.result()
 
 
 def _check(sig: Signature, ctx: Context, term: Term, expected: Term, cfg: CheckConfig) -> list:
@@ -464,21 +489,20 @@ def _check(sig: Signature, ctx: Context, term: Term, expected: Term, cfg: CheckC
             binder, body = _open_binder(sig, ctx, binder, body)
             codomain = substitute(normal.codomain, normal.binder, Var(binder))
             inner = ctx.extend(binder, normal.domain)
-            results = []
+            found = _Alternatives(cfg)
             for body_derivation in _check(sig, inner, body, codomain, cfg):
                 subject = Lam(binder, body_derivation.conclusion.subject)
                 node = Derivation(
                     PI_I, Judgment(sig, ctx, subject, normal), (body_derivation,)
                 )
-                results.append(_conv(node, expected) if needs_conv else node)
-            return results
+                found.add(_conv(node, expected) if needs_conv else node)
         case Pair(first, second):
             if not isinstance(normal, Sigma):
                 raise TypeMismatch(expected, term)
             second_type = substitute(normal.codomain, normal.binder, first)
             first_derivations = _check(sig, ctx, first, normal.domain, cfg)
             second_derivations = _check(sig, ctx, second, second_type, cfg)
-            results = []
+            found = _Alternatives(cfg)
             for first_derivation in first_derivations:
                 for second_derivation in second_derivations:
                     subject = Pair(
@@ -490,9 +514,7 @@ def _check(sig: Signature, ctx: Context, term: Term, expected: Term, cfg: CheckC
                         Judgment(sig, ctx, subject, normal),
                         (first_derivation, second_derivation),
                     )
-                    results.append(_conv(node, expected) if needs_conv else node)
-                    _guard(results, cfg)
-            return results
+                    found.add(_conv(node, expected) if needs_conv else node)
         case Require():
             return _require(sig, ctx, term, cfg, expected)
         case Universe(level):
@@ -502,16 +524,13 @@ def _check(sig: Signature, ctx: Context, term: Term, expected: Term, cfg: CheckC
                 return [_conv(node, expected) if needs_conv else node]
             raise TypeMismatch(expected, term)
         case _:
-            results = []
-            pending = None
+            found = _Alternatives(cfg)
             for derivation in _infer(sig, ctx, term, cfg):
                 inferred = derivation.conclusion.classifier
                 if alpha_eq(inferred, expected):
-                    results.append(derivation)
+                    found.add(derivation)
                 elif convertible(inferred, expected, cfg.step_budget):
-                    results.append(_conv(derivation, expected))
+                    found.add(_conv(derivation, expected))
                 else:
-                    pending = pending or TypeMismatch(expected, term, inferred)
-            if not results:
-                raise pending
-            return results
+                    found.note(TypeMismatch(expected, term, inferred))
+    return found.result()

@@ -45,6 +45,20 @@ from presup import (
 from presup.derivations import CONST, CONV, HYP, SIG_E1, SIG_E2, Derivation, Judgment
 from presup.solver import Solution
 
+
+def nested_proj(term: Term, index: int) -> Term:
+    """The index-th component of a right-nested tuple: fst (snd^(index-1) term).
+
+    Purely syntactic; the caller is responsible for index being consistent
+    with the tuple's type (the last component of a tuple is its own snd-spine,
+    not a projection of one).
+    """
+    if index < 1:
+        raise ValueError("component index must be >= 1")
+    for _ in range(index - 1):
+        term = Snd(term)
+    return Fst(term)
+
 # ---------------------------------------------------------------------------
 # Leftmost-outermost rewriting (oracle for normalize)
 
@@ -729,3 +743,149 @@ def reference_to_json_dict(derivation: Derivation) -> dict:
     if derivation.witness is not None:
         node["witness"] = format_term(derivation.witness)
     return node
+
+
+# ---------------------------------------------------------------------------
+# Readings by enumeration (oracle for elaborate_all)
+
+
+def reference_readings(sig: Signature, ctx: Context, term: Term, cfg: CheckConfig) -> list:
+    """The (elaborated term, type) pairs elaborate_all should give, in order.
+
+    Every way of replacing each require by a witness is enumerated in the
+    order the typing rules take their premises.  At `require x : A in N`
+    that is each reading of A (A itself when it presupposes nothing, else
+    one typed elaboration per normal form), then each reference_solve
+    witness for that reading, substituted into N.  Binders extend the
+    context with their domain as written.  Of the require-free results,
+    those that infer_all types are kept, with the type it gives.  The
+    kernel is never asked to type a term that still presupposes.
+    """
+    readings = []
+    for elaborated in _reference_elaborations(sig, ctx, term, None, cfg):
+        try:
+            (derivation,) = infer_all(sig, ctx, elaborated, cfg)
+        except TypeCheckError:
+            continue
+        readings.append((elaborated, derivation.conclusion.classifier))
+    return readings
+
+
+def _reference_goal_readings(sig: Signature, ctx: Context, goal: Term, cfg: CheckConfig) -> list:
+    if not reference_contains_require(goal):
+        return [goal]
+    readings, seen = [], set()
+    for elaborated, _ in reference_readings(sig, ctx, goal, cfg):
+        key = reference_alpha_key(reference_normalize(elaborated, cfg.step_budget))
+        if key not in seen:
+            seen.add(key)
+            readings.append(elaborated)
+    return readings
+
+
+def _reference_elaborations(sig, ctx, term, expected, cfg) -> list:
+    """Every require-free variant of term in ctx, in premise order.  expected
+    is the type term is checked against, if any: it types a lambda's binder."""
+
+    def walk(inner, sub, sub_expected=None):
+        return _reference_elaborations(sig, inner, sub, sub_expected, cfg)
+
+    match term:
+        case Var() | Const() | Universe():
+            return [term]
+        case Require(binder, goal, body):
+            return [
+                elaborated
+                for reading in _reference_goal_readings(sig, ctx, goal, cfg)
+                for solution in reference_solve(sig, ctx, reading, cfg)
+                for elaborated in walk(
+                    ctx, reference_substitute(body, binder, solution.witness), expected
+                )
+            ]
+        case Fst(pair) | Snd(pair):
+            return [type(term)(elaborated) for elaborated in walk(ctx, pair)]
+        case App(fun, arg):
+            return [
+                App(fun_reading, arg_reading)
+                for fun_reading in walk(ctx, fun)
+                for arg_reading in walk(ctx, arg, _reference_domain(sig, ctx, fun_reading, cfg))
+            ]
+        case Pi(binder, domain, codomain) | Sigma(binder, domain, codomain):
+            binder, codomain = _reference_open(sig, ctx, binder, codomain)
+            codomains = walk(ctx.extend(binder, domain), codomain)
+            return [type(term)(binder, d, c) for d in walk(ctx, domain) for c in codomains]
+        case Let(binder, annot, value, body):
+            binder, body = _reference_open(sig, ctx, binder, body)
+            values = walk(ctx, value, annot)
+            bodies = walk(ctx.extend(binder, annot), body)
+            return [Let(binder, a, v, b) for a in walk(ctx, annot) for v in values for b in bodies]
+        case Lam(binder, body):
+            normal = None if expected is None else reference_normalize(expected, cfg.step_budget)
+            if not isinstance(normal, Pi):
+                return []
+            binder, body = _reference_open(sig, ctx, binder, body)
+            codomain = reference_substitute(normal.codomain, normal.binder, Var(binder))
+            inner = ctx.extend(binder, normal.domain)
+            return [Lam(binder, elaborated) for elaborated in walk(inner, body, codomain)]
+        case Pair(first, second):
+            normal = None if expected is None else reference_normalize(expected, cfg.step_budget)
+            if not isinstance(normal, Sigma):
+                return []
+            seconds = walk(ctx, second, reference_substitute(normal.codomain, normal.binder, first))
+            return [Pair(a, b) for a in walk(ctx, first, normal.domain) for b in seconds]
+    raise TypeError(f"not a term: {term!r}")
+
+
+def _reference_domain(sig: Signature, ctx: Context, fun: Term, cfg: CheckConfig):
+    # The domain of a require-free function's type, if it has one.
+    try:
+        (derivation,) = infer_all(sig, ctx, fun, cfg)
+    except TypeCheckError:
+        return None
+    normal = reference_normalize(derivation.conclusion.classifier, cfg.step_budget)
+    return normal.domain if isinstance(normal, Pi) else None
+
+
+def _reference_open(sig: Signature, ctx: Context, binder: str, scope: Term):
+    # A binder that would shadow a name in scope is renamed with primes.
+    taken = set(ctx.names) | set(sig.names)
+    if binder not in taken:
+        return binder, scope
+    taken |= reference_free_vars(scope)
+    name = binder
+    while name in taken:
+        name += "'"
+    return name, reference_substitute(scope, binder, Var(name))
+
+
+# ---------------------------------------------------------------------------
+# Random sentences over the whole controlled-English grammar
+
+DETS = ["a", "the", "every"]
+NOUNS = ["man", "farmer", "donkey"]
+IVS = ["walked in", "sat down"]
+TVS = ["owns", "beats"]
+PRONS = ["he", "it"]
+
+
+def random_sentence(rng: random.Random, depth: int) -> str:
+    """A simple or conditional sentence whose noun phrases are pronouns or
+    determiner phrases, with relative clauses (`who TV NP`) up to depth."""
+    if rng.random() < 0.25:
+        return f"if {_random_simple(rng, depth)}, {_random_simple(rng, depth)}"
+    return _random_simple(rng, depth)
+
+
+def _random_simple(rng, depth):
+    if rng.random() < 0.4:
+        return f"{_random_np(rng, depth)} {rng.choice(IVS)}"
+    return f"{_random_np(rng, depth)} {rng.choice(TVS)} {_random_np(rng, depth)}"
+
+
+def _random_np(rng, depth):
+    if rng.random() < 0.3:
+        return rng.choice(PRONS)
+    det, noun = rng.choice(DETS), rng.choice(NOUNS)
+    if depth > 0 and rng.random() < 0.3:
+        return f"{det} {noun} who {rng.choice(TVS)} {_random_np(rng, depth - 1)}"
+    return f"{det} {noun}"

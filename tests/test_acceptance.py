@@ -30,7 +30,6 @@ from presup import (
     explicit_the,
     infer_all,
     interpret,
-    nested_proj,
     normalize,
     parse_discourse,
     parse_term,
@@ -39,7 +38,7 @@ from presup import (
 from presup.cli import main
 
 from conftest import DONKEY_LINE, PCTX_LINE
-from helpers import oracle_filter, random_context, solver_witness_keys, typed_pool, typed_spine_universe
+from helpers import nested_proj, oracle_filter, random_context, solver_witness_keys, typed_pool, typed_spine_universe
 
 GOLDEN_ONE = "(p : (x : E) * (Man x * WalkedIn x)) * SatDown (fst p)"
 GOLDEN_DONKEY = (

@@ -151,7 +151,7 @@ def test_solve_empty_context_exit_code():
 def test_solve_rejects_non_type_goals():
     code, out, err = run(["solve", "Man"])
     assert code == 1
-    assert "not a type" in err
+    assert err == "error: Man is not a type (it has type E -> Set0, not a universe)\n"
     code, out, err = run(["solve", "Man (fst q)"])
     assert code == 1
     assert "unbound name" in err
@@ -571,3 +571,55 @@ def test_discourse_alphabet_keeps_paper_examples_filler_and_line_breaks(tmp_path
     path = tmp_path / "discourse"
     path.write_text("A man walked in.\n\tThe man (THEN)\nsat down.\n", encoding="utf-8")
     assert run(["elaborate", "--discourse", f"@{path}"]) == plain
+
+
+# A goal that presupposes: Owns a (require y : E in y) reads Owns a b, then
+# Owns a a, and only the first has a witness.
+GOAL_CONTEXT = "a : E\nm : Man a\nb : E\no : Owns a b\n"
+PRESUPPOSING_GOAL = "require x : Owns a (require y : E in y) in x"
+
+
+@pytest.fixture
+def goal_file(tmp_path):
+    path = tmp_path / "goalctx"
+    path.write_text(GOAL_CONTEXT, encoding="utf-8")
+    return str(path)
+
+
+def test_require_resolves_a_goal_that_presupposes(goal_file):
+    options = ["--context", goal_file]
+    assert run(["check", *options, PRESUPPOSING_GOAL]) == (0, "Owns a b, 1 derivation\n", "")
+    assert run(["elaborate", *options, PRESUPPOSING_GOAL]) == (0, "o : Owns a b\n", "")
+    code, out, err = run(["repl", *options], stdin=f":elab {PRESUPPOSING_GOAL}\n:quit\n")
+    assert (code, err) == (0, "")
+    assert "> o : Owns a b\n> " in out
+    assert run(["solve", *options, "Owns a (require y : E in y)"]) == (0, "o : Owns a b\n", "")
+
+
+def test_json_shows_the_goal_premise_first(goal_file):
+    code, out, err = run(["check", "--json", "--context", goal_file, PRESUPPOSING_GOAL])
+    assert (code, err) == (0, "")
+    (node,) = json.loads(out)
+    assert (node["rule"], node["witness"], node["type"]) == ("Require", "o", "Owns a b")
+    goal, witness, body = node["premises"]
+    assert (goal["rule"], goal["term"], goal["type"]) == ("PiE", "Owns a (require y : E in y)", "Set0")
+    assert (witness["term"], witness["type"]) == ("o", "Owns a b")
+    assert (body["term"], body["type"]) == ("o", "Owns a b")
+    assert _collect_witnesses(node) == ["o", "b"]
+
+
+def test_convertible_goal_readings_print_one_witness_once(tmp_path):
+    # Both readings, let z : E = b in Man a and let z : E = a in Man a,
+    # normalize to Man a: one reading, one witness.
+    path = tmp_path / "ctx"
+    path.write_text("a : E\nm : Man a\nb : E\n", encoding="utf-8")
+    goal = "let z : E = (require y : E in y) in Man a"
+    options = ["--context", str(path)]
+    assert run(["solve", *options, goal]) == (0, "m : let z : E = b in Man a\n", "")
+    code, out, err = run(["solve", *options, "--json", goal])
+    assert (code, json.loads(out), err) == (
+        0, [{"type": "let z : E = b in Man a", "witness": "m"}], ""
+    )
+    code, out, err = run(["repl", *options], stdin=f":solve {goal}\n:quit\n")
+    assert (code, err) == (0, "")
+    assert "> m : let z : E = b in Man a\n> " in out

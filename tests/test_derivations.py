@@ -9,13 +9,16 @@ import pytest
 
 import presup.derivations as D
 from presup import (
+    Const,
     Derivation,
     InvalidDerivation,
     Judgment,
     Let,
+    Universe,
     Var,
     check_all,
     infer_all,
+    parse_context_text,
     parse_term,
     syntax,
     validate,
@@ -112,3 +115,67 @@ def test_validator_rejects_a_tampered_composite_node(sig, pctx, rule, how):
     tampered = _tampered(_composite(sig, pctx, rule), how)
     with pytest.raises(InvalidDerivation):
         validate(tampered)
+
+
+# A Require node whose goal presupposes has three premises: the goal's type
+# derivation, the witness and the body.
+GOAL_CONTEXT = "a : E\nm : Man a\nb : E\no : Owns a b"
+
+
+@pytest.fixture
+def presupposing(sig):
+    ctx = parse_context_text(GOAL_CONTEXT, sig)
+    (derivation,) = _derive(sig, ctx, "require x : Owns a (require y : E in y) in x")
+    return derivation
+
+
+def _message(derivation) -> str:
+    with pytest.raises(InvalidDerivation) as caught:
+        validate(derivation)
+    return str(caught.value)
+
+
+def _with_goal_premise(d: Derivation, goal_premise: Derivation) -> Derivation:
+    return Derivation(d.rule, d.conclusion, (goal_premise, *d.premises[1:]))
+
+
+def test_a_presupposing_goal_is_the_first_of_three_premises(presupposing):
+    goal, witness, body = presupposing.premises
+    assert str(goal.conclusion.subject) == "Owns a (require y : E in y)"
+    assert str(validate(goal)) == "Owns a b"
+    assert str(presupposing.witness) == "o"
+    assert str(validate(presupposing)) == "o"
+    plain = _derive(presupposing.conclusion.sig, goal.conclusion.ctx, "require x : E in x")
+    assert [(len(d.premises), str(d.witness)) for d in plain] == [(2, "b"), (2, "a")]
+
+
+def test_validator_rejects_a_goal_premise_for_another_type(presupposing):
+    j = presupposing.conclusion
+    (other,) = _derive(j.sig, j.ctx, "Owns a b")
+    assert _message(_with_goal_premise(presupposing, other)) == (
+        "Require node for require x : Owns a (require y : E in y) in x:"
+        " goal premise does not derive the goal"
+    )
+
+
+def test_validator_rejects_a_goal_premise_not_typed_by_a_universe(presupposing):
+    # A conversion to a type that only computes to Set0 is a valid node.
+    goal = presupposing.premises[0]
+    j = goal.conclusion
+    lazy_set = Let("z", Const("E"), Var("a"), Universe(0))
+    converted = Derivation(D.CONV, Judgment(j.sig, j.ctx, j.subject, lazy_set), (goal,))
+    assert _message(_with_goal_premise(presupposing, converted)) == (
+        "Require node for require x : Owns a (require y : E in y) in x:"
+        " goal premise must conclude in a universe"
+    )
+
+
+def test_validator_rejects_a_witness_for_another_reading_of_the_goal(presupposing):
+    # The goal's other reading, Owns a a, is not the witness's type.
+    j = presupposing.conclusion
+    readings = _derive(j.sig, j.ctx, "Owns a (require y : E in y)")
+    (other,) = [d for d in readings if str(validate(d)) == "Owns a a"]
+    assert _message(_with_goal_premise(presupposing, other)) == (
+        "Require node for require x : Owns a (require y : E in y) in x:"
+        " witness type does not match the goal"
+    )

@@ -18,12 +18,11 @@ from presup import (
     elaborate,
     elaborate_all,
     infer_all,
-    nested_proj,
     parse_term,
     validate,
 )
 
-from helpers import random_context, typed_pool
+from helpers import nested_proj, random_context, typed_pool
 
 
 def test_elaborate_pronoun_subject(sig, pctx):

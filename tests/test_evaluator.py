@@ -24,7 +24,6 @@ from presup import (
     convertible,
     eval_closed,
     explicit_the,
-    nested_proj,
     normalize,
     parse_term,
 )
@@ -32,6 +31,7 @@ from presup.derivations import CheckConfig
 
 from helpers import (
     leftmost_outermost,
+    nested_proj,
     random_context,
     random_syntactic_term,
     reference_normalize,

@@ -90,7 +90,7 @@ def test_format_require():
 
 
 def test_format_nested_projection():
-    from presup import nested_proj
+    from helpers import nested_proj
 
     assert format_term(nested_proj(Var("p"), 3)) == "fst (snd (snd p))"
 

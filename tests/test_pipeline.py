@@ -24,13 +24,9 @@ from presup import (
     parse_term,
 )
 
-_ALPHABET = string.ascii_letters + string.digits + " ()\\.:*<>,=->_'"
+from helpers import DETS, IVS, NOUNS, PRONS, TVS, random_sentence
 
-_DETS = ["a", "the", "every"]
-_NOUNS = ["man", "farmer", "donkey"]
-_IVS = ["walked in", "sat down"]
-_TVS = ["owns", "beats"]
-_PRONS = ["he", "it"]
+_ALPHABET = string.ascii_letters + string.digits + " ()\\.:*<>,=->_'"
 
 
 def test_term_parser_rejects_cleanly_and_round_trips():
@@ -49,7 +45,7 @@ def test_term_parser_rejects_cleanly_and_round_trips():
 
 def test_discourse_parser_rejects_word_sequences_cleanly():
     rng = random.Random(72)
-    vocabulary = _DETS + _NOUNS + _IVS + _TVS + _PRONS + ["if", ",", "(then)", "who"]
+    vocabulary = DETS + NOUNS + IVS + TVS + PRONS + ["if", ",", "(then)", "who"]
     for _ in range(4000):
         text = " ".join(rng.choice(vocabulary) for _ in range(rng.randint(0, 10))) + "."
         try:
@@ -58,33 +54,12 @@ def test_discourse_parser_rejects_word_sequences_cleanly():
             pass
 
 
-def _random_np(rng, depth):
-    if rng.random() < 0.3:
-        return rng.choice(_PRONS)
-    det, noun = rng.choice(_DETS), rng.choice(_NOUNS)
-    if depth > 0 and rng.random() < 0.3:
-        return f"{det} {noun} who {rng.choice(_TVS)} {_random_np(rng, depth - 1)}"
-    return f"{det} {noun}"
-
-
-def _random_simple(rng, depth):
-    if rng.random() < 0.4:
-        return f"{_random_np(rng, depth)} {rng.choice(_IVS)}"
-    return f"{_random_np(rng, depth)} {rng.choice(_TVS)} {_random_np(rng, depth)}"
-
-
-def _random_sentence(rng, depth):
-    if rng.random() < 0.25:
-        return f"if {_random_simple(rng, depth)}, {_random_simple(rng, depth)}"
-    return _random_simple(rng, depth)
-
-
 def test_random_discourses_elaborate_or_fail_honestly():
     sig = base_signature()
     rng = random.Random(73)
     elaborated = unresolved = 0
     for _ in range(250):
-        text = ". ".join(_random_sentence(rng, 2) for _ in range(rng.randint(1, 3))) + "."
+        text = ". ".join(random_sentence(rng, 2) for _ in range(rng.randint(1, 3))) + "."
         meaning = interpret(parse_discourse(text))
         try:
             results = elaborate_all(sig, Context(), meaning)

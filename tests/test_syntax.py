@@ -24,7 +24,6 @@ from presup import (
     format_term,
     free_vars,
     interpret,
-    nested_proj,
     parse_discourse,
     parse_term,
     normalize,
@@ -33,6 +32,7 @@ from presup import (
 from presup import syntax
 
 from helpers import (
+    nested_proj,
     random_syntactic_term,
     reference_alpha_key,
     reference_contains_require,
