@@ -81,6 +81,7 @@ from .typecheck import (
     UnresolvedPresupposition,
     check_all,
     check_context,
+    check_entry,
     check_signature,
     infer_all,
 )

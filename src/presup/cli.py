@@ -29,7 +29,7 @@ from .frontend import (
 from .lexicon import base_signature
 from .syntax import Context, format_term
 from .typecheck import (TypeCheckError, UnresolvedPresupposition, check_context,
-                        check_signature, goal_witnesses, infer_all)
+                        check_entry, check_signature, goal_witnesses, infer_all)
 
 
 _TOO_DEEP = "error: input nested too deeply (Python recursion limit reached)"
@@ -59,7 +59,7 @@ def _load_environment(args, cfg: CheckConfig):
     sig = base_signature()
     if args.signature:
         sig = parse_signature_text(_read_file(args.signature), sig)
-    check_signature(sig, cfg)
+        check_signature(sig, cfg)
     ctx = Context()
     if args.context:
         ctx = parse_context_text(_read_file(args.context), sig)
@@ -205,10 +205,10 @@ def _repl_dispatch(line: str, sig, ctx, cfg, out):
     elif command == ":ctx":
         if rest.startswith("add "):
             name, entry_type = _parse_entry_line(rest[4:].strip(), sig.names)
-            extended = ctx.extend(name, entry_type)
-            check_context(sig, extended, cfg)
+            # The context so far has been checked; only the new entry is.
+            check_entry(sig, ctx, name, entry_type, cfg)
             out.write(f"added {name} : {format_term(entry_type)}\n")
-            return extended
+            return ctx.extend(name, entry_type)
         if not rest:
             for name, entry_type in ctx.entries:
                 out.write(f"{name} : {format_term(entry_type)}\n")

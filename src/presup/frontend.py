@@ -51,59 +51,56 @@ class ParseError(Exception):
         self.expected = expected
 
 
+# Every position matches: a token, the end of the text, or a stray
+# character, which takes the rest of the text with it.  Universe names (Set
+# alone is Set0) and the reserved words are their own kinds, as whole words
+# only; they never name a variable or a constant.
 _TOKEN = re.compile(
-    r"\s*(?:(?P<arrow>->)|(?P<lparen>\()|(?P<rparen>\))|(?P<lambda>\\)|(?P<dot>\.)"
-    r"|(?P<colon>:)|(?P<star>\*)|(?P<langle><)|(?P<rangle>>)|(?P<comma>,)"
-    r"|(?P<equals>=)|(?P<ident>[A-Za-z_][A-Za-z0-9_']*))"
+    r"\s*(?:(?P<punct>->|[()\\.:*<>,=])"
+    r"|(?:(?P<universe>Set[0-9]*)|(?P<keyword>fst|snd|require|let|in))(?![A-Za-z0-9_'])"
+    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_']*)|(?P<eof>\Z)|(?P<stray>.).*)",
+    re.DOTALL,
 )
 
-_UNIVERSE = re.compile(r"Set([0-9]*)")
-
-# Identifiers the tokenizer reads as keywords; with the universe names Set,
-# Set0, Set1, ... they can never name a variable or a constant.
-_RESERVED = ("fst", "snd", "require", "let", "in")
+# A punctuation token's kind, and the reserved words, each its own kind.
+_KINDS = {
+    "->": "arrow", "(": "lparen", ")": "rparen", "\\": "lambda", ".": "dot", ":": "colon",
+    "*": "star", "<": "langle", ">": "rangle", ",": "comma", "=": "equals",
+    **{word: word for word in ("fst", "snd", "require", "let", "in")},
+}
 
 
 def _tokenize(text: str) -> list:
+    """(kind, text, position) for each token, then one or two eof tokens."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN.match(text, pos)
-        if match is None:
-            rest = text[pos:]
-            stripped = rest.lstrip()
-            if not stripped:
-                break
-            offending = pos + len(rest) - len(stripped)
-            raise ParseError(offending, f"a token (found {stripped[0]!r})")
-        kind = match.lastgroup
-        value = match.group(kind)
-        start = match.end() - len(value)
-        if kind == "ident":
-            if _UNIVERSE.fullmatch(value):
-                kind = "universe"
-            elif value in _RESERVED:
-                kind = value
-        tokens.append((kind, value, start))
-        pos = match.end()
-    tokens.append(("eof", "", len(text)))
+    for match in _TOKEN.finditer(text):
+        group = match.lastgroup
+        value = match[group]
+        tokens.append((_KINDS.get(value, group), value, match.start(group)))
+    kind, value, start = tokens[-2] if len(tokens) > 1 else tokens[-1]
+    if kind == "stray":
+        raise ParseError(start, f"a token (found {value!r})")
     return tokens
+
+
+_ARGUMENT_START = frozenset(("ident", "universe", "lparen", "langle", "fst", "snd"))
 
 
 class _TermParser:
     def __init__(self, text: str, constants: frozenset):
-        self.tokens = _tokenize(text)
+        tokens = _tokenize(text)
+        # Two more eof tokens, so that peek(2) stays inside the list.  The
+        # parser stops at the first eof it takes: it is an error or the end.
+        self.tokens = tokens + tokens[-1:] * 2
         self.index = 0
         self.constants = constants
 
     def peek(self, offset: int = 0):
-        return self.tokens[min(self.index + offset, len(self.tokens) - 1)]
+        return self.tokens[self.index + offset]
 
     def advance(self):
-        token = self.tokens[self.index]
-        if token[0] != "eof":
-            self.index += 1
-        return token
+        self.index += 1
+        return self.tokens[self.index - 1]
 
     def expect(self, kind: str, what: str):
         token = self.advance()
@@ -111,13 +108,8 @@ class _TermParser:
             raise ParseError(token[2], what)
         return token
 
-    def name(self, bound: frozenset, ident: str) -> Term:
-        if ident in bound or ident not in self.constants:
-            return Var(ident)
-        return Const(ident)
-
     def term(self, bound: frozenset) -> Term:
-        kind, _, _ = self.peek()
+        kind = self.tokens[self.index][0]
         if kind == "lambda":
             self.advance()
             binder = self.expect("ident", "a binder name")[1]
@@ -152,7 +144,7 @@ class _TermParser:
                 return Sigma(binder, domain, self.term(bound | {binder}))
             raise ParseError(op[2], "'->' or '*' after a binder")
         left = self.application(bound)
-        kind, _, _ = self.peek()
+        kind = self.tokens[self.index][0]
         if kind == "arrow":
             self.advance()
             return Pi("_", left, self.term(bound | {"_"}))
@@ -163,20 +155,20 @@ class _TermParser:
 
     def application(self, bound: frozenset) -> Term:
         term = self.head(bound)
-        while self.peek()[0] in ("ident", "universe", "lparen", "langle", "fst", "snd"):
+        while self.tokens[self.index][0] in _ARGUMENT_START:
             term = App(term, self.head(bound))
         return term
 
     def head(self, bound: frozenset) -> Term:
         kind, value, pos = self.advance()
+        if kind == "ident":
+            return Var(value) if value in bound or value not in self.constants else Const(value)
         if kind == "fst":
             return Fst(self.head(bound))
         if kind == "snd":
             return Snd(self.head(bound))
-        if kind == "ident":
-            return self.name(bound, value)
         if kind == "universe":
-            digits = _UNIVERSE.fullmatch(value).group(1) or "0"
+            digits = value[3:] or "0"
             # int() and str() convert at most `limit` digits, leading zeros
             # included.  The level's type, the level above it, is printed too,
             # and it has one digit more when every digit is a 9.
@@ -238,9 +230,12 @@ def _parse_entries(text: str, telescope: Telescope, constants: frozenset | None)
     return telescope
 
 
+_ENTRY = re.compile(r"([A-Za-z_][A-Za-z0-9_']*)\s*:\s*(.+)")
+
+
 def _parse_entry_line(line: str, constants: frozenset):
-    match = re.fullmatch(r"([A-Za-z_][A-Za-z0-9_']*)\s*:\s*(.+)", line)
-    if match is None or match.group(1) in _RESERVED or _UNIVERSE.fullmatch(match.group(1)):
+    match = _ENTRY.fullmatch(line)
+    if match is None or _TOKEN.match(match.group(1)).lastgroup != "ident":
         raise ParseError(0, f"'name : type' (got {line!r})")
     return match.group(1), parse_term(match.group(2), constants)
 

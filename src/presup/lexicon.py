@@ -10,6 +10,7 @@ so they only acquire a value once a discourse context supplies a witness.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .derivations import CheckConfig
@@ -38,9 +39,11 @@ _PREDICATE = Pi("_", ENTITY, SET0)
 _RELATION = Pi("_", ENTITY, Pi("_", ENTITY, SET0))
 
 
+@functools.cache
 def base_signature() -> Signature:
-    """E and the lexical constants, in telescope order."""
-    return Signature(
+    """E and the lexical constants, in telescope order; built and checked
+    once per process, on the first call."""
+    sig = Signature(
         (
             ("E", SET0),
             ("Man", _PREDICATE),
@@ -52,6 +55,8 @@ def base_signature() -> Signature:
             ("Beats", _RELATION),
         )
     )
+    check_signature(sig)
+    return sig
 
 
 class UnknownWord(Exception):

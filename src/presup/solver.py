@@ -7,10 +7,15 @@ experienced so far": everything the discourse context makes available by
 projection, most recent hypothesis first.
 
 A head's spines depend only on the head and its declared type, so each head
-gets one table per top-level call: its spines in breadth-first order with
-their normalized types, indexed by the alpha key of that type.  A goal is
-normalized and keyed once; its witnesses are the index hits, and derivation
-trees are built only for them.
+gets at most one table per top-level call: its spines in breadth-first order
+with their normalized types, indexed by the top symbol of that type (head
+constructor, name or level, argument count).  A goal is normalized once;
+only spines under its symbol are compared by alpha key, and derivation
+trees are built only for the hits.  A table is built when a goal first
+reaches its head: a spine type's free variables are the head's and its
+declared type's, as normalizing and projecting only substitute subterms,
+so a head that lacks a free variable of the normal goal is passed over and
+its type is never normalized (nor its step budget spent).
 
 Each (signature, context) pair searched gets one view per top-level call:
 its heads' tables in search order, and next to each table the derivations
@@ -45,6 +50,7 @@ from .derivations import (
 )
 from .evaluator import normalize
 from .syntax import (
+    App,
     Const,
     Context,
     Fst,
@@ -54,6 +60,7 @@ from .syntax import (
     Term,
     Var,
     alpha_key,
+    free_vars,
     substitute,
 )
 
@@ -88,11 +95,12 @@ def with_spine_tables(fn):
 
 
 class _Table:
-    """The spines of one head, breadth-first, to a fixed depth.
+    """The spines of one head, breadth-first, to a fixed depth, once `fill`
+    has listed them.
 
     Spine i is (term, normal type, parent index or -1, rule); `index` maps
-    the alpha key of a normal type to the indices of the spines that have
-    it, in order.
+    the top symbol of a normal type to the indices of the spines that have
+    it, in order.  `names` caches the free variables a spine type can have.
 
     Only the head's type is normalized, and `declared` keeps it as given: a
     normal pair type's domain is normal, and putting the neutral `fst t` for
@@ -101,25 +109,27 @@ class _Table:
     distinct objects.
     """
 
-    __slots__ = ("spines", "index", "declared")
+    __slots__ = ("head", "declared", "rule", "names", "spines", "index")
 
-    def __init__(self, head: Term, declared: Term, rule: str, depth: int, step_budget: int):
-        self.spines = []
-        self.index = {}
-        self.declared = declared
-        queue = deque([(head, normalize(declared, step_budget), -1, rule, 0)])
+    def __init__(self, head: Term, declared: Term, rule: str):
+        self.head, self.declared, self.rule = head, declared, rule
+        self.names = self.index = None
+
+    def fill(self, depth: int, step_budget: int) -> dict:
+        spines, index = [], {}
+        queue = deque([(self.head, normalize(self.declared, step_budget), -1, self.rule, 0)])
         while queue:
             term, spine_type, parent, rule, length = queue.popleft()
-            normal_key = alpha_key(spine_type)
-            position = len(self.spines)
-            self.spines.append((term, spine_type, parent, rule))
-            self.index.setdefault(normal_key, []).append(position)
+            index.setdefault(_symbol(spine_type), []).append(len(spines))
+            spines.append((term, spine_type, parent, rule))
             if length >= depth or not isinstance(spine_type, Sigma):
                 continue
             first = Fst(term)
-            queue.append((first, spine_type.domain, position, SIG_E1, length + 1))
+            queue.append((first, spine_type.domain, len(spines) - 1, SIG_E1, length + 1))
             second_type = substitute(spine_type.codomain, spine_type.binder, first)
-            queue.append((Snd(term), second_type, position, SIG_E2, length + 1))
+            queue.append((Snd(term), second_type, len(spines) - 1, SIG_E2, length + 1))
+        self.spines, self.index = spines, index
+        return index
 
     def derivation(self, position: int, sig: Signature, ctx: Context, built: dict) -> Derivation:
         """The derivation of spine `position` in sig; ctx, sharing the nodes
@@ -155,11 +165,19 @@ def _view(sig: Signature, ctx: Context, depth: int, step_budget: int) -> tuple:
             cached = by_head.get(key)
             if cached is None:
                 name, declared = entry
-                table = _Table(make(name), declared, rule, depth, step_budget)
-                cached = by_head[key] = (entry, table)
+                cached = by_head[key] = (entry, _Table(make(name), declared, rule))
             tables.append(cached[1])
         view = views[view_key] = (tables, [{} for _ in tables], sig, ctx)
     return view[0], view[1]
+
+
+def _symbol(term: Term) -> tuple:
+    # The head constructor, the head's name or level if it is a leaf, and
+    # the number of arguments: alpha-equivalent terms share it.
+    arity = 0
+    while type(term) is App:
+        term, arity = term.fun, arity + 1
+    return type(term), getattr(term, "name", getattr(term, "level", None)), arity
 
 
 def _looked_up(telescope) -> tuple:
@@ -180,11 +198,12 @@ def enumerate_spines(sig: Signature, ctx: Context, depth: int) -> list:
     oldest-first; for a fixed head, paths come in breadth-first order and
     descend only through pair types, to at most `depth` projections.
     """
-    return [
-        (term, spine_type)
-        for table in _view(sig, ctx, depth, DEFAULT_CONFIG.step_budget)[0]
-        for term, spine_type, *_ in table.spines
-    ]
+    step_budget = DEFAULT_CONFIG.step_budget
+    tables = _view(sig, ctx, depth, step_budget)[0]
+    for table in tables:
+        if table.index is None:
+            table.fill(depth, step_budget)
+    return [(term, spine_type) for table in tables for term, spine_type, *_ in table.spines]
 
 
 @with_spine_tables
@@ -202,11 +221,27 @@ def solve(sig: Signature, ctx: Context, goal: Term, cfg: CheckConfig | None = No
     # Spine types are normal, so convertibility with the goal is equality
     # of alpha keys with the goal's normal form.
     normal_goal = normalize(goal, cfg.step_budget)
+    symbol = _symbol(normal_goal)
     normal_key = alpha_key(normal_goal)
+    goal_names = free_vars(normal_goal)
     solutions = []
     for table, table_built in zip(tables, built):
-        for position in table.index.get(normal_key, ()):
-            term = table.spines[position][0]
+        index = table.index
+        if index is None:
+            # A head none of whose spine types can have all of the goal's
+            # free variables holds no witness: its table waits for a goal
+            # that reaches it.
+            if goal_names:
+                if table.names is None:
+                    table.names = free_vars(table.declared) | free_vars(table.head)
+                if not goal_names <= table.names:
+                    continue
+            index = table.fill(cfg.solver_depth, cfg.step_budget)
+        for position in index.get(symbol, ()):
+            spine = table.spines[position]
+            if alpha_key(spine[1]) != normal_key:
+                continue
+            term = spine[0]
             derivation = table.derivation(position, sig, ctx, table_built)
             if normal_goal is not goal:
                 derivation = Derivation(CONV, Judgment(sig, ctx, term, goal), (derivation,))

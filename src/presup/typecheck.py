@@ -160,7 +160,7 @@ def check_signature(sig: Signature, cfg: CheckConfig | None = None) -> None:
     the preceding prefix; names must be fresh.  Raises on failure."""
     prefix = Signature()
     for name, entry_type in sig.entries:
-        _check_entry(prefix, Context(), name, entry_type, cfg or DEFAULT_CONFIG)
+        check_entry(prefix, Context(), name, entry_type, cfg)
         prefix = prefix.extend(name, entry_type)
 
 
@@ -170,19 +170,20 @@ def check_context(sig: Signature, ctx: Context, cfg: CheckConfig | None = None) 
     the preceding prefix; names fresh with respect to both telescopes."""
     prefix = Context()
     for name, entry_type in ctx.entries:
-        _check_entry(sig, prefix, name, entry_type, cfg or DEFAULT_CONFIG)
+        check_entry(sig, prefix, name, entry_type, cfg)
         prefix = prefix.extend(name, entry_type)
 
 
-def _check_entry(
-    sig: Signature, ctx: Context, name: str, entry_type: Term, cfg: CheckConfig
+@with_spine_tables
+def check_entry(
+    sig: Signature, ctx: Context, name: str, entry_type: Term, cfg: CheckConfig | None = None
 ) -> None:
     """`name : entry_type` may extend ctx under sig (a signature entry is
     checked with the prefix as sig and ctx empty)."""
     if sig.lookup(name) is not None or ctx.lookup(name) is not None:
         raise DuplicateName(name)
     try:
-        _type_derivations(sig, ctx, entry_type, cfg)
+        _type_derivations(sig, ctx, entry_type, cfg or DEFAULT_CONFIG)
     except TypeCheckError as cause:
         raise IllTypedEntry(name, cause) from cause
 
@@ -248,7 +249,9 @@ class _Alternatives:
             raise BudgetExceeded(self.cfg.max_total_derivations)
 
     def note(self, error: TypeCheckError) -> None:
-        self.pending = self.pending or error
+        # Without its traceback, whose frames hold this collector, the error
+        # leaves no reference cycle; `result` raises it with a fresh one.
+        self.pending = self.pending or error.with_traceback(None)
 
     def result(self) -> list:
         if not self.derivations:

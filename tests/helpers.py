@@ -234,6 +234,40 @@ def reference_solve(sig: Signature, ctx: Context, goal: Term, cfg: CheckConfig) 
 
 
 # ---------------------------------------------------------------------------
+# Wide solver contexts, in the shape of the CLI benchmark's: one-entity pairs
+# (p), two-entity nested pairs (n) and relation facts (f) between the newest
+# and the third-newest entity, in turn.
+
+_WIDE_SHAPES = "pnpfnpnf"
+_NOUN_CONSTANTS = ("Man", "Farmer", "Donkey")
+_VERB_CONSTANTS = ("WalkedIn", "SatDown")
+_RELATION_CONSTANTS = ("Owns", "Beats")
+
+
+def wide_context(rng: random.Random, size: int) -> tuple:
+    """`A : Set0`, `w : A`, then `size` hypotheses h0, h1, ... cycling
+    through the shapes: (context text, entity paths, relation facts, the
+    noun facts of the one-entity pairs)."""
+    lines = ["A : Set0", "w : A"]
+    entities, facts, properties = [], [], []
+    for index in range(size):
+        name, shape = f"h{index}", _WIDE_SHAPES[index % len(_WIDE_SHAPES)]
+        noun, other = rng.choice(_NOUN_CONSTANTS), rng.choice(_NOUN_CONSTANTS)
+        verb, relation = rng.choice(_VERB_CONSTANTS), rng.choice(_RELATION_CONSTANTS)
+        if shape == "p":
+            lines.append(f"{name} : (x : E) * {noun} x * {verb} x")
+            entities.append(f"fst {name}")
+            properties.append(f"{noun} (fst {name})")
+        elif shape == "n":
+            lines.append(f"{name} : (x : E) * {noun} x * (y : E) * {other} y * {relation} x y")
+            entities += [f"fst {name}", f"fst (snd (snd {name}))"]
+        else:
+            facts.append(f"{relation} ({entities[-1]}) ({entities[-3]})")
+            lines.append(f"{name} : {facts[-1]}")
+    return "\n".join(lines) + "\n", entities, facts, properties
+
+
+# ---------------------------------------------------------------------------
 # Random syntactic terms (for the purely syntactic laws)
 
 _VAR_NAMES = ("x", "y", "z", "w")

@@ -623,3 +623,53 @@ def test_convertible_goal_readings_print_one_witness_once(tmp_path):
     code, out, err = run(["repl", *options], stdin=f":solve {goal}\n:quit\n")
     assert (code, err) == (0, "")
     assert "> m : let z : E = b in Man a\n> " in out
+
+
+def test_repl_ctx_add_checks_only_the_new_entry(monkeypatch):
+    import presup.typecheck
+
+    checked = []
+    check_entry = presup.typecheck.check_entry
+
+    def counting(sig, ctx, name, *rest):
+        checked.append(name)
+        return check_entry(sig, ctx, name, *rest)
+
+    # check_context reaches it through the typechecker module, the REPL
+    # through its own import.
+    monkeypatch.setattr(presup.typecheck, "check_entry", counting)
+    monkeypatch.setattr(presup.cli, "check_entry", counting)
+    names = [f"a{i}" for i in range(12)]
+    script = "".join(f":ctx add {name} : E\n" for name in names) + ":quit\n"
+    code, out, err = run(["repl"], stdin=script)
+    assert code == 0
+    assert out.count("added a") == len(names)
+    assert checked == names
+
+
+def test_repl_ctx_add_keeps_its_entry_errors():
+    script = (
+        ":ctx add a : E\n:ctx add a : E\n:ctx add b : Man c\n"
+        ":ctx add m : Man (require x : E in x)\n:ctx\n:quit\n"
+    )
+    code, out, err = run(["repl"], stdin=script)
+    assert code == 0
+    assert "> error: duplicate name: a\n" in out
+    assert "> error: ill-typed entry b: unbound name: c\n" in out
+    # An entry type's presupposition is solved against the context so far.
+    assert out.endswith("> added m : Man (require x : E in x)\n> a : E\nm : Man (require x : E in x)\n> ")
+
+
+def test_solve_skips_heads_the_goal_cannot_reach(tmp_path):
+    # h's type takes a reduction step to normalize.  The goal mentions a,
+    # and h's spine types can mention only h, so h is never normalized and
+    # a step budget of 0 does not stop the search.
+    path = tmp_path / "ctx"
+    path.write_text("a : E\nm : Man a\nh : let z : Set0 = E in z\n", encoding="utf-8")
+    assert run(["solve", "--step-budget", "0", "--context", str(path), "Man a"]) == (
+        0, "m : Man a\n", ""
+    )
+    # A goal that h can reach still normalizes h's type.
+    assert run(["solve", "--step-budget", "0", "--context", str(path), "E"]) == (
+        1, "", "error: evaluation step budget exceeded\n"
+    )

@@ -253,3 +253,49 @@ def test_interpret_stable_under_reparse():
         first = interpret(parse_discourse(text))
         second = interpret(parse_discourse(text))
         assert alpha_eq(first, second)
+
+
+# Tokens of the identifier-like words at the edges of the universe names and
+# the reserved words: only a whole word is ever a universe or a keyword.
+@pytest.mark.parametrize(
+    "text, token",
+    [
+        ("Set", ("universe", "Set", 0)),
+        ("Set12", ("universe", "Set12", 0)),
+        ("Set1x", ("ident", "Set1x", 0)),
+        ("Settle", ("ident", "Settle", 0)),
+        ("Set'", ("ident", "Set'", 0)),
+        ("fstx", ("ident", "fstx", 0)),
+        ("fst'", ("ident", "fst'", 0)),
+        ("in_", ("ident", "in_", 0)),
+        ("in", ("in", "in", 0)),
+    ],
+)
+def test_tokenizer_classifies_whole_words(text, token):
+    from presup.frontend import _tokenize
+
+    assert _tokenize(text) == [token, ("eof", "", len(text))]
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("in : E", "at position 0: expected 'name : type' (got 'in : E')"),
+        ("fst : E", "at position 0: expected 'name : type' (got 'fst : E')"),
+        ("Set : E", "at position 0: expected 'name : type' (got 'Set : E')"),
+        ("Set2 : E", "at position 0: expected 'name : type' (got 'Set2 : E')"),
+        ("b : Man (a", "at position 6: expected ')'"),
+        ("b : Man $", "at position 4: expected a token (found '$')"),
+        ("b : Man \x00", "at position 4: expected a token (found '\\x00')"),
+        ("b : Man \ud800", "at position 4: expected a token (found '\\ud800')"),
+    ],
+)
+def test_context_line_errors_keep_their_message_and_position(sig, line, message):
+    with pytest.raises(ParseError) as caught:
+        parse_context_text(f"a : E\n{line}\n", sig)
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("name", ["Set1x", "in_", "fstx", "Settle"])
+def test_names_that_only_start_like_a_keyword_are_entry_names(sig, name):
+    assert parse_context_text(f"{name} : E", sig).entries == ((name, Const("E")),)

@@ -18,8 +18,11 @@ from presup import (
     Var,
     alpha_eq,
     alpha_key,
+    check_context,
     convertible,
     enumerate_spines,
+    parse_context_text,
+    parse_term,
     solve,
     validate,
 )
@@ -30,6 +33,7 @@ from helpers import (
     reference_spines,
     solver_witness_keys,
     spine_oracle,
+    wide_context,
 )
 
 ENTITY = Const("E")
@@ -255,26 +259,54 @@ def test_no_solver_state_survives_top_level_calls(sig, pctx):
     assert vars(solver) == before
 
 
-def test_tables_are_built_once_per_head_within_a_call(sig, pctx, monkeypatch):
-    from presup import infer_all, parse_term, solver
+def _count_fills(monkeypatch) -> list:
+    # The heads whose spine tables are built, in the order they are built.
+    from presup import solver
 
     built = []
+    fill = solver._Table.fill
 
-    class CountingTable(solver._Table):
-        def __init__(self, head, *args):
-            built.append(str(head))
-            super().__init__(head, *args)
+    def counting(table, *args):
+        built.append(str(table.head))
+        return fill(table, *args)
 
-    monkeypatch.setattr(solver, "_Table", CountingTable)
+    monkeypatch.setattr(solver._Table, "fill", counting)
+    return built
+
+
+def test_tables_are_built_once_per_head_within_a_call(sig, pctx, monkeypatch):
+    from presup import infer_all
+
+    built = _count_fills(monkeypatch)
     term = parse_term(
         "SatDown (require x : E in x) * WalkedIn (require y : E in y) * Man (require z : E in z)",
         sig.names,
     )
     assert len(infer_all(sig, pctx, term)) == 1
     # Three presuppositions (and the hypotheses that the pair types bind),
-    # but each head's spines are computed once.
+    # but each head's spines are computed once; a goal E reaches every head.
     assert len(built) == len(set(built))
     assert {"p"} | {name for name, _ in sig.entries} <= set(built)
+
+
+def test_tables_are_built_only_for_the_heads_a_goal_reaches(sig, monkeypatch):
+    from presup import solver
+
+    built = _count_fills(monkeypatch)
+    ctx = parse_context_text("a : E\nm : Man a\nb : E\nn : Man b\nc : Man b -> E\n", sig)
+    check_context(sig, ctx)
+    goals = [parse_term(text, sig.names) for text in ("Man a", "Man b", "Man a", "E")]
+
+    @solver.with_spine_tables
+    def in_one_call():
+        return [[str(s.witness) for s in solve(sig, ctx, goal)] for goal in goals]
+
+    assert in_one_call() == [["m"], ["n"], ["m"], ["b", "a"]]
+    # A spine type of head h has its free variables among h's and those of
+    # h's declared type: Man a reaches m and a, Man b reaches c, n and b,
+    # and E, which has none, reaches the rest.  No head is built twice.
+    assert built == ["m", "a", "c", "n", "b", "E", "Man", "WalkedIn", "SatDown", "Farmer",
+                     "Donkey", "Owns", "Beats"]
 
 
 DEFINITES = (
@@ -308,12 +340,26 @@ def test_one_call_builds_each_view_once_and_shares_its_spine_derivations(sig, mo
 
         monkeypatch.setitem(D._CHECKERS, rule, counted)
 
+    fills = Counter()
+    fill = solver._Table.fill
+
+    def counted_fill(table, *args):
+        fills[id(table)] += 1
+        return fill(table, *args)
+
+    monkeypatch.setattr(solver._Table, "fill", counted_fill)
     (derivation,) = infer_all(sig, Context(), interpret(parse_discourse(DEFINITES)))
     lists = [tables_per_call for _, _, tables_per_call in handed.values()]
     assert sum(map(len, lists)) > 2 * len(lists)
     # Each pair's head list was built once and handed out on every solve.
     assert all(all(tables is ours[0] for tables in ours) for ours in lists)
     assert len({id(ours[0]) for ours in lists}) == len(lists)
+    # The views share their heads' tables, and each table is built at most
+    # once, only when a goal reaches it.
+    tables = {id(table): table for ours in lists for table in ours[0]}
+    assert len(tables) < sum(len(ours[0]) for ours in lists)
+    assert set(fills.values()) == {1}
+    assert set(fills) == {key for key, table in tables.items() if table.index is not None}
     validate(derivation)
     # 177 when every solve builds its own spine derivations.
     assert sum(checks.values()) == len(checks) == 152
@@ -347,3 +393,40 @@ def test_a_repeated_name_is_searched_once_through_the_entry_lookup_finds(sig):
             validate(solution.derivation)
     assert [s.witness for s in solve(sig, ctx, ENTITY)][:1] == [Var("a")]
     assert solve(sig, ctx, man_a) == []
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_solve_on_wide_contexts_equals_the_reference_scan(sig, seed):
+    from presup import solver
+
+    rng = random.Random(seed)
+    text, entities, facts, properties = wide_context(rng, rng.choice((16, 24, 32)))
+    ctx = parse_context_text(text, sig)
+    check_context(sig, ctx)
+    middle = entities[len(entities) // 2]
+    # A relation fact, one with no witness (facts relate distinct
+    # entities), a fact whose witness projects from the head it mentions,
+    # E, goals that normalize away the names they mention, a goal headed by
+    # a variable, and a universe.
+    texts = [
+        facts[len(facts) // 2],
+        f"{rng.choice(('Owns', 'Beats'))} ({middle}) ({middle})",
+        properties[len(properties) // 2],
+        "E",
+        f"let z : E = {entities[0]} in E",
+        "let z : E -> Set0 = Man in E",
+        "A",
+        "Set0",
+    ]
+    goals = [parse_term(goal, sig.names) for goal in texts]
+    cfg = CheckConfig(max_solutions_per_require=10_000)
+    expected = [reference_solve(sig, ctx, goal, cfg) for goal in goals]
+    assert [solve(sig, ctx, goal, cfg) for goal in goals] == expected
+    assert [len(solutions) > 0 for solutions in expected] == [True, False] + [True] * 6
+
+    # The same goals in one call, whose tables are built as goals reach them.
+    @solver.with_spine_tables
+    def in_one_call():
+        return [solve(sig, ctx, goal, cfg) for goal in goals]
+
+    assert in_one_call() == expected

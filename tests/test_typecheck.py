@@ -504,3 +504,22 @@ def test_checking_adds_conv_exactly_when_the_expected_type_is_not_normal(
             assert derivation.conclusion.classifier is expected
             assert (derivation.rule == "Conv") == (expected is redex)
             validate(derivation)
+
+
+def test_a_failed_alternative_leaves_no_reference_cycle(sig):
+    import gc
+
+    # b is the newest entity, but only a is a man: the definite's first
+    # witness fails its noun check, and the collector keeps that error.
+    ctx = Context((("a", Const("E")), ("m", App(Const("Man"), Var("a"))), ("b", Const("E"))))
+    term = parse_term("SatDown (require x : E in require q : Man x in x)", sig.names)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        (derivation,) = infer_all(sig, ctx, term)
+        del derivation
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
