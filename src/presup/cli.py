@@ -11,7 +11,6 @@ import argparse
 import os
 import sys
 from collections import Counter
-from dataclasses import replace
 
 from .derivations import CheckConfig, dump_json, to_json_dicts
 from .elaborate import elaborate_all
@@ -46,13 +45,8 @@ def _at_least(minimum: int):
 
 
 def _config(args) -> CheckConfig:
-    bounds = {
-        "solver_depth": args.depth,
-        "max_solutions_per_require": args.max_solutions,
-        "step_budget": args.step_budget,
-        "max_total_derivations": args.max_derivations,
-    }
-    return replace(CheckConfig(), **{k: v for k, v in bounds.items() if v is not None})
+    return CheckConfig(**{name: getattr(args, name) for name in CheckConfig.LEAST
+                          if getattr(args, name) is not None})
 
 
 def _load_environment(args, cfg: CheckConfig):
@@ -224,14 +218,15 @@ def _repl_dispatch(line: str, sig, ctx, cfg, out):
 _COMMON = argparse.ArgumentParser(add_help=False)
 _COMMON.add_argument("--signature", metavar="FILE", help="extend the base signature from FILE")
 _COMMON.add_argument("--context", metavar="FILE", help="load local hypotheses from FILE")
-_COMMON.add_argument("--depth", type=_at_least(0), default=None, help="witness search depth")
-_COMMON.add_argument(
-    "--max-solutions", type=_at_least(1), default=None, help="witnesses per presupposition"
-)
-_COMMON.add_argument("--step-budget", type=_at_least(0), default=None, help="reduction step budget")
-_COMMON.add_argument(
-    "--max-derivations", type=_at_least(1), default=None, help="derivations per term"
-)
+# Each bound option sets the CheckConfig field it names, from its least value up.
+for _flag, _field, _help in (
+    ("--depth", "solver_depth", "witness search depth"),
+    ("--max-solutions", "max_solutions_per_require", "witnesses per presupposition"),
+    ("--step-budget", "step_budget", "reduction step budget"),
+    ("--max-derivations", "max_total_derivations", "derivations per term"),
+):
+    _COMMON.add_argument(_flag, dest=_field, metavar=_flag[2:].upper().replace("-", "_"),
+                         type=_at_least(CheckConfig.LEAST[_field]), help=_help)
 _ELABORATE = argparse.ArgumentParser(add_help=False)
 _ELABORATE.add_argument(
     "--discourse", action="store_true", help="treat the input as controlled English"

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import Callable, ClassVar, NamedTuple
 
 from .evaluator import DEFAULT_STEP_BUDGET, convertible
 from .syntax import (
@@ -91,10 +92,12 @@ class CheckConfig:
     max_total_derivations: int = 256
     step_budget: int = DEFAULT_STEP_BUDGET
 
+    # The least value of each bound; the CLI's options accept the same.
+    LEAST: ClassVar[dict] = {"solver_depth": 0, "max_solutions_per_require": 1,
+                             "max_total_derivations": 1, "step_budget": 0}
+
     def __post_init__(self):
-        # The least value of each bound, as the CLI's options accept them.
-        for name, least in (("solver_depth", 0), ("max_solutions_per_require", 1),
-                            ("max_total_derivations", 1), ("step_budget", 0)):
+        for name, least in self.LEAST.items():
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
 
@@ -127,19 +130,20 @@ def validate(derivation: Derivation) -> Term:
         if premise.conclusion.sig != conclusion.sig:
             _fail(derivation, "premise under a different signature")
         parts.append(validate(premise))
-    checker = _CHECKERS.get(derivation.rule)
-    if checker is None:
+    row = RULES.get(derivation.rule)
+    if row is None:
         _fail(derivation, "unknown rule")
-    if derivation.rule in FORMS:
-        _check_structure(derivation)
-        term = rebuild(derivation, parts)
+    form, counts, check = row
+    if form is not None:
+        _check_structure(derivation, form)
+        term = rebuild(form, derivation, parts)
     else:
-        _premise_count(derivation, PREMISE_COUNTS[derivation.rule])
+        _premise_count(derivation, counts)
         for premise in derivation.premises:
             _same_context(derivation, premise)
         # A Require's witness is already substituted in its last premise.
         term = parts[-1] if parts else conclusion.subject
-    checker(derivation)
+    check(derivation)
     object.__setattr__(derivation, "_elaborated", term)
     return term
 
@@ -149,33 +153,11 @@ def _fail(derivation: Derivation, reason: str):
     raise InvalidDerivation(f"{derivation.rule} node for {subject}: {reason}")
 
 
-# The composite rules and the constructor of each one's subject.  Premise i
-# derives the i-th field of the constructor's syntax._SHAPES row: the field
-# premises under the conclusion's context, and a binding form's scope
-# premise, its last, under that context plus the binder.
-FORMS = {
-    PI_F: Pi,
-    SIG_F: Sigma,
-    PI_I: Lam,
-    PI_E: App,
-    SIG_I: Pair,
-    SIG_E1: Fst,
-    SIG_E2: Snd,
-    LET: Let,
-}
-
-# The other rules and their premise counts; every premise sits under the
-# conclusion's context.  A Require node whose goal presupposes has the goal's
-# type derivation as a first, third premise.
-PREMISE_COUNTS = {CONST: (0,), HYP: (0,), CUMULATIVITY: (0,), CONV: (1,), REQUIRE: (2, 3)}
-
-
-def rebuild(d: Derivation, parts: list) -> Term:
-    """The subject of composite node d assembled from parts, one term per
-    premise in premise order.  A binding form's binder is the newest
-    hypothesis of its scope premise: the typechecker records the (possibly
-    freshened) binder there."""
-    form = FORMS[d.rule]
+def rebuild(form: type, d: Derivation, parts: list) -> Term:
+    """The subject of composite node d, of constructor form, assembled from
+    parts, one term per premise in premise order.  A binding form's binder
+    is the newest hypothesis of its scope premise: the typechecker records
+    the (possibly freshened) binder there."""
     if _SHAPES[form][2] is None:
         return form(*parts)
     return form(_hypothesis(d)[0], *parts)
@@ -186,10 +168,10 @@ def _hypothesis(d: Derivation) -> tuple:
     return d.premises[-1].conclusion.ctx.entries[-1]
 
 
-def _check_structure(d: Derivation) -> None:
+def _check_structure(d: Derivation, form: type) -> None:
     # What every composite rule shares: the subject rebuilds from the
     # premises, which sit under the contexts the table gives them.
-    _, fields, scope = _SHAPES[FORMS[d.rule]]
+    _, fields, scope = _SHAPES[form]
     _premise_count(d, (len(fields) + (scope is not None),))
     premises = d.premises
     for premise in premises[: len(fields)]:
@@ -203,7 +185,7 @@ def _check_structure(d: Derivation) -> None:
         if fields and not alpha_eq(inner[-1][1], premises[0].conclusion.subject):
             _fail(d, "extended hypothesis type differs from the domain")
     subjects = [premise.conclusion.subject for premise in premises]
-    if not alpha_eq(d.conclusion.subject, rebuild(d, subjects)):
+    if not alpha_eq(d.conclusion.subject, rebuild(form, d, subjects)):
         _fail(d, "subject does not rebuild from the premises")
 
 
@@ -356,20 +338,34 @@ def _check_conv(d: Derivation) -> None:
         _fail(d, "classifiers are not computationally equal")
 
 
-_CHECKERS = {
-    CONST: _check_const,
-    HYP: _check_hyp,
-    CUMULATIVITY: _check_cumulativity,
-    PI_F: _check_formation,
-    PI_I: _check_pi_i,
-    PI_E: _check_pi_e,
-    SIG_F: _check_formation,
-    SIG_I: _check_sig_i,
-    SIG_E1: _check_projection,
-    SIG_E2: _check_projection,
-    REQUIRE: _check_require,
-    LET: _check_let,
-    CONV: _check_conv,
+# One row of the rule table.  A composite rule names the constructor of its
+# subject as `form`: premise i derives the i-th field of that constructor's
+# syntax._SHAPES row, the field premises under the conclusion's context and
+# a binding form's scope premise, its last, under that context plus the
+# binder.  Every other rule has no form, and `counts` gives its premise
+# counts, every premise under the conclusion's context; a Require node whose
+# goal presupposes has the goal's type derivation as a first, third premise.
+# `check` then checks the rule's typing conditions.
+class Rule(NamedTuple):
+    form: type | None
+    counts: tuple | None
+    check: Callable[[Derivation], None]
+
+
+RULES = {
+    CONST: Rule(None, (0,), _check_const),
+    HYP: Rule(None, (0,), _check_hyp),
+    CUMULATIVITY: Rule(None, (0,), _check_cumulativity),
+    PI_F: Rule(Pi, None, _check_formation),
+    PI_I: Rule(Lam, None, _check_pi_i),
+    PI_E: Rule(App, None, _check_pi_e),
+    SIG_F: Rule(Sigma, None, _check_formation),
+    SIG_I: Rule(Pair, None, _check_sig_i),
+    SIG_E1: Rule(Fst, None, _check_projection),
+    SIG_E2: Rule(Snd, None, _check_projection),
+    REQUIRE: Rule(None, (2, 3), _check_require),
+    LET: Rule(Let, None, _check_let),
+    CONV: Rule(None, (1,), _check_conv),
 }
 
 

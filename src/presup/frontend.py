@@ -55,10 +55,12 @@ class ParseError(Exception):
 # character, which takes the rest of the text with it.  Universe names (Set
 # alone is Set0) and the reserved words are their own kinds, as whole words
 # only; they never name a variable or a constant.
+_RESERVED = ("fst", "snd", "require", "let", "in")
+_IDENT = r"[A-Za-z_][A-Za-z0-9_']*"
 _TOKEN = re.compile(
     r"\s*(?:(?P<punct>->|[()\\.:*<>,=])"
-    r"|(?:(?P<universe>Set[0-9]*)|(?P<keyword>fst|snd|require|let|in))(?![A-Za-z0-9_'])"
-    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_']*)|(?P<eof>\Z)|(?P<stray>.).*)",
+    rf"|(?:(?P<universe>Set[0-9]*)|(?P<keyword>{'|'.join(_RESERVED)}))(?![A-Za-z0-9_'])"
+    rf"|(?P<ident>{_IDENT})|(?P<eof>\Z)|(?P<stray>.).*)",
     re.DOTALL,
 )
 
@@ -66,7 +68,7 @@ _TOKEN = re.compile(
 _KINDS = {
     "->": "arrow", "(": "lparen", ")": "rparen", "\\": "lambda", ".": "dot", ":": "colon",
     "*": "star", "<": "langle", ">": "rangle", ",": "comma", "=": "equals",
-    **{word: word for word in ("fst", "snd", "require", "let", "in")},
+    **{word: word for word in _RESERVED},
 }
 
 
@@ -230,7 +232,7 @@ def _parse_entries(text: str, telescope: Telescope, constants: frozenset | None)
     return telescope
 
 
-_ENTRY = re.compile(r"([A-Za-z_][A-Za-z0-9_']*)\s*:\s*(.+)")
+_ENTRY = re.compile(rf"({_IDENT})\s*:\s*(.+)")
 
 
 def _parse_entry_line(line: str, constants: frozenset):

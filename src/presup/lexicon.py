@@ -41,20 +41,12 @@ _RELATION = Pi("_", ENTITY, Pi("_", ENTITY, SET0))
 
 @functools.cache
 def base_signature() -> Signature:
-    """E and the lexical constants, in telescope order; built and checked
-    once per process, on the first call."""
-    sig = Signature(
-        (
-            ("E", SET0),
-            ("Man", _PREDICATE),
-            ("WalkedIn", _PREDICATE),
-            ("SatDown", _PREDICATE),
-            ("Farmer", _PREDICATE),
-            ("Donkey", _PREDICATE),
-            ("Owns", _RELATION),
-            ("Beats", _RELATION),
-        )
-    )
+    """E, then the content words' constants at their types, in the order of
+    their lexical entries; built and checked once per process, on the first
+    call."""
+    content = [(lex.meaning.name, lex.meaning_type) for lex in _ENTRIES.values()
+               if isinstance(lex.meaning, Const)]
+    sig = Signature((("E", SET0), *content))
     check_signature(sig)
     return sig
 
@@ -126,11 +118,12 @@ _ENTRIES = {
         LexEntry("he", "Pron", _PRONOUN, ENTITY),
         LexEntry("it", "Pron", _PRONOUN, ENTITY),
         LexEntry("who", "Rel", _WHO, _RELATIVIZER_TYPE),
+        # The content words, in the base signature's order.
         _content("man", "N", "Man", _PREDICATE),
-        _content("farmer", "N", "Farmer", _PREDICATE),
-        _content("donkey", "N", "Donkey", _PREDICATE),
         _content("walked in", "VP", "WalkedIn", _PREDICATE),
         _content("sat down", "VP", "SatDown", _PREDICATE),
+        _content("farmer", "N", "Farmer", _PREDICATE),
+        _content("donkey", "N", "Donkey", _PREDICATE),
         _content("owns", "TV", "Owns", _RELATION),
         _content("beats", "TV", "Beats", _RELATION),
     )

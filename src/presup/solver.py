@@ -71,10 +71,13 @@ _TABLES: ContextVar = ContextVar("spine_tables", default=None)
 
 @dataclass(frozen=True)
 class Solution:
-    """A witness for a presupposition goal, with its typing derivation."""
+    """A witness for a presupposition goal: the subject of its typing derivation."""
 
-    witness: Term
     derivation: Derivation
+
+    @property
+    def witness(self) -> Term:
+        return self.derivation.conclusion.subject
 
 
 def with_spine_tables(fn):
@@ -241,9 +244,8 @@ def solve(sig: Signature, ctx: Context, goal: Term, cfg: CheckConfig | None = No
             spine = table.spines[position]
             if alpha_key(spine[1]) != normal_key:
                 continue
-            term = spine[0]
             derivation = table.derivation(position, sig, ctx, table_built)
             if normal_goal is not goal:
-                derivation = Derivation(CONV, Judgment(sig, ctx, term, goal), (derivation,))
-            solutions.append(Solution(term, derivation))
+                derivation = Derivation(CONV, Judgment(sig, ctx, spine[0], goal), (derivation,))
+            solutions.append(Solution(derivation))
     return solutions

@@ -17,15 +17,13 @@ class Term:
 
     The slots outside the dataclass fields keep results computed on the
     term: _fv, its free-variable set (free_vars); _ak, its alpha key
-    (alpha_key); _normal, a mark that normalize returned the term itself,
-    having spent no step (evaluator.normalize); _sub, the last
-    substitution into it as (var, value, result) (substitute); and _text,
-    False once the term has been printed and its text from its second print
-    on (format_term).  None of them takes part in construction, equality,
-    hashing or repr.
+    (alpha_key); _sub, the last substitution into it as (var, value,
+    result) (substitute); and _text, False once the term has been printed
+    and its text from its second print on (format_term).  None of them
+    takes part in construction, equality, hashing or repr.
     """
 
-    __slots__ = ("_fv", "_ak", "_normal", "_sub", "_text")
+    __slots__ = ("_fv", "_ak", "_sub", "_text")
 
     def __str__(self) -> str:
         return format_term(self)

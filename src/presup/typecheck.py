@@ -221,15 +221,14 @@ def goal_witnesses(sig: Signature, ctx: Context, goal: Term, cfg: CheckConfig) -
     presupposes has one reading per normal form of its elaborations: the
     first such elaboration, searched with its type derivation as premise."""
     derivations = _type_derivations(sig, ctx, goal, cfg)
-    # This call's spine tables are set, so solve's own scope is skipped.
     if not contains_require(goal):
-        return [((), solution) for solution in solve.__wrapped__(sig, ctx, goal, cfg)]
+        return [((), solution) for solution in solve(sig, ctx, goal, cfg)]
     readings = {}
     for derivation, _ in derivations:
         normal = normalize(validate(derivation), cfg.step_budget)
         readings.setdefault(alpha_key(normal), derivation)
     return [((derivation,), solution) for derivation in readings.values()
-            for solution in solve.__wrapped__(sig, ctx, validate(derivation), cfg)]
+            for solution in solve(sig, ctx, validate(derivation), cfg)]
 
 
 class _Alternatives:
@@ -409,9 +408,8 @@ def _require(
     # then the first premise), in the order of goal_witnesses, up to the
     # configured number of witnesses whose body goes through.  The body is
     # inferred, or checked against `expected` when that is given (and then B
-    # is `expected`).  The spine tables of the typechecker's call are set, so
-    # the goal step's own scope is skipped.
-    witnesses = goal_witnesses.__wrapped__(sig, ctx, term.goal_type, cfg)
+    # is `expected`).
+    witnesses = goal_witnesses(sig, ctx, term.goal_type, cfg)
     if not witnesses:
         raise UnresolvedPresupposition(term.goal_type, ctx)
     avoid = frozenset() if expected is None else free_vars(expected)

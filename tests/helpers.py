@@ -229,7 +229,7 @@ def reference_solve(sig: Signature, ctx: Context, goal: Term, cfg: CheckConfig) 
         seen.add(key)
         if not alpha_eq(spine_type, goal):
             derivation = Derivation(CONV, Judgment(sig, ctx, term, goal), (derivation,))
-        solutions.append(Solution(term, derivation))
+        solutions.append(Solution(derivation))
     return solutions
 
 

@@ -1,7 +1,7 @@
-"""The rule tables: every rule is either a composite form of
-derivations.FORMS or one of the five others in derivations.PREMISE_COUNTS,
-and the validator rejects a composite node whose premises do not build its
-subject in the contexts the table gives them."""
+"""The rule table: every rule of derivations.RULES is either a composite
+form or one of five others with premise counts, and the validator rejects a
+composite node whose premises do not build its subject in the contexts the
+table gives them."""
 
 import dataclasses
 
@@ -62,12 +62,13 @@ def _composite(sig, pctx, rule) -> Derivation:
 
 @pytest.mark.parametrize("rule", RULES)
 def test_every_rule_is_a_form_or_one_of_five_others(sig, pctx, rule):
-    assert rule in D._CHECKERS
-    assert (rule in D.FORMS) != (rule in D.PREMISE_COUNTS)
-    if rule not in D.FORMS:
+    assert sorted(D.RULES) == RULES
+    form, counts, check = D.RULES[rule]
+    assert callable(check)
+    assert (form is None) != (counts is None)
+    if form is None:
         assert rule in {D.CONST, D.HYP, D.CUMULATIVITY, D.CONV, D.REQUIRE}
         return
-    form = D.FORMS[rule]
     _, outer, scope = syntax._SHAPES[form]
     count = len(outer) + (scope is not None)
     assert count == sum(f.name != "binder" for f in dataclasses.fields(form))
@@ -105,7 +106,7 @@ def _tampered(d: Derivation, how: str) -> Derivation:
     return Derivation(d.rule, j, tuple(premises))
 
 
-_BINDING = [rule for rule in COMPOSITES if syntax._SHAPES[D.FORMS[rule]][2] is not None]
+_BINDING = [rule for rule in COMPOSITES if syntax._SHAPES[D.RULES[rule].form][2] is not None]
 _TAMPERS = [(rule, how) for rule in COMPOSITES for how in ("swapped", "dropped")]
 _TAMPERS += [(rule, "unextended") for rule in _BINDING]
 

@@ -333,12 +333,12 @@ def test_one_call_builds_each_view_once_and_shares_its_spine_derivations(sig, mo
 
     monkeypatch.setattr(solver, "_view", recording)
     checks = Counter()
-    for rule, checker in D._CHECKERS.items():
-        def counted(d, checker=checker):
+    for rule, row in D.RULES.items():
+        def counted(d, check=row.check):
             checks[id(d)] += 1
-            checker(d)
+            check(d)
 
-        monkeypatch.setitem(D._CHECKERS, rule, counted)
+        monkeypatch.setitem(D.RULES, rule, row._replace(check=counted))
 
     fills = Counter()
     fill = solver._Table.fill

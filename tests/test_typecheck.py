@@ -523,3 +523,27 @@ def test_a_failed_alternative_leaves_no_reference_cycle(sig):
     finally:
         if enabled:
             gc.enable()
+
+
+def test_the_typechecker_reaches_the_solver_through_its_name(sig, monkeypatch):
+    # A wrapper put in place of typecheck.solve, as a tracer or a profiler
+    # does, sees every search that a require makes.
+    import presup.typecheck
+
+    calls = []
+    real = presup.typecheck.solve
+
+    def counted(*args):
+        calls.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(presup.typecheck, "solve", counted)
+    meaning = interpret(parse_discourse("A man walked in. The man sat down."))
+    (derivation,) = infer_all(sig, Context(), meaning)
+    requires, stack = 0, [derivation]
+    while stack:
+        node = stack.pop()
+        requires += node.rule == "Require"
+        stack.extend(node.premises)
+    assert requires == 2
+    assert len(calls) >= requires
